@@ -15,7 +15,7 @@ from .classes import (
     classify,
     parse_class_expr,
 )
-from .config import Caps, DEFAULT_CAPS, caps_from_env, current_caps, set_caps
+from .config import Caps, DEFAULT_CAPS, caps_from_env
 from .errors import (
     CapExceeded,
     ClasslabError,
@@ -96,7 +96,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AuditReport", "ClassEval", "ClassExpr", "audit_property", "classify",
     "parse_class_expr",
-    "Caps", "DEFAULT_CAPS", "caps_from_env", "current_caps", "set_caps",
+    "Caps", "DEFAULT_CAPS", "caps_from_env",
     "CapExceeded", "ClasslabError", "DegreeMismatch", "FalsificationAlarm",
     "InvalidInput", "ParseError", "SubgroupLimitExceeded",
     "GroupHom", "PermGroup", "Permutation", "StabChain", "coset_action",

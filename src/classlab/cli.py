@@ -54,9 +54,6 @@ def _common_parser() -> argparse.ArgumentParser:
                         help="emit the report as JSON instead of text")
     common.add_argument("--universe", metavar="PATH",
                         help="catalog file to use (default: build the standard one)")
-    common.add_argument("--jobs", type=int, metavar="N",
-                        help="worker count; accepted for compatibility, the "
-                             "current implementation runs checks sequentially")
     common.add_argument("--enum-cap", type=int, metavar="N",
                         help="largest group order for full element enumeration")
     common.add_argument("--iso-cap", type=int, metavar="N",

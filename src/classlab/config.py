@@ -1,4 +1,4 @@
-"""Runtime caps with a process-wide default that the CLI may override."""
+"""Runtime caps: explicit limits passed to every exhaustive algorithm."""
 from __future__ import annotations
 
 import os
@@ -28,21 +28,10 @@ class Caps:
 
 DEFAULT_CAPS = Caps()
 
-_current: Caps = DEFAULT_CAPS
-
-
-def current_caps() -> Caps:
-    return _current
-
-
-def set_caps(caps: Caps) -> None:
-    global _current
-    _current = caps
-
 
 def effective_caps(caps: Caps | None) -> Caps:
-    """The caps to use: an explicit argument wins over the process default."""
-    return caps if caps is not None else _current
+    """The caps to use: the explicit argument, or DEFAULT_CAPS when none is given."""
+    return caps if caps is not None else DEFAULT_CAPS
 
 
 _ENV_FIELDS = {

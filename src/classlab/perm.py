@@ -42,6 +42,54 @@ def _identity(degree: int) -> RawPerm:
     return tuple(range(degree))
 
 
+def _cycles(raw: RawPerm) -> list[tuple[int, ...]]:
+    """Nontrivial cycles, each starting at its least point, sorted by that point."""
+    seen = [False] * len(raw)
+    out: list[tuple[int, ...]] = []
+    for start in range(len(raw)):
+        if seen[start] or raw[start] == start:
+            continue
+        cyc = [start]
+        seen[start] = True
+        x = raw[start]
+        while x != start:
+            cyc.append(x)
+            seen[x] = True
+            x = raw[x]
+        out.append(tuple(cyc))
+    return out
+
+
+def _order(raw: RawPerm) -> int:
+    return math.lcm(*(len(c) for c in _cycles(raw)))
+
+
+def _place_blocks(degree: int, pieces: Iterable[tuple[int, RawPerm]]) -> RawPerm:
+    """The permutation of {0, …, degree−1} acting as p on block i for each (i, p).
+
+    Block i is the points i·d … i·d+d−1 with d = len(p); other points are fixed.
+    """
+    images = list(range(degree))
+    for i, p in pieces:
+        off = i * len(p)
+        images[off:off + len(p)] = [off + x for x in p]
+    return tuple(images)
+
+
+def _lift_blocks(sigma: RawPerm, d: int, tail: RawPerm = ()) -> RawPerm:
+    """The permutation carrying block i (of size d) onto block sigma[i] point by
+    point, and acting as tail on the points after the last block."""
+    off = len(sigma) * d
+    return tuple([sigma[i] * d + p for i in range(len(sigma)) for p in range(d)]
+                 + [off + x for x in tail])
+
+
+def _restrict(raw: RawPerm, off: int, d: int) -> RawPerm:
+    """The action of raw on the points off … off+d−1 (which it must preserve),
+    shifted down to 0 … d−1."""
+    return tuple(raw[off + p] - off for p in range(d))
+
+
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
@@ -81,28 +129,14 @@ class Permutation:
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its least point, sorted by that point."""
-        seen = [False] * len(self.images)
-        out: list[tuple[int, ...]] = []
-        for start in range(len(self.images)):
-            if seen[start] or self.images[start] == start:
-                seen[start] = True
-                continue
-            cyc = [start]
-            seen[start] = True
-            x = self.images[start]
-            while x != start:
-                cyc.append(x)
-                seen[x] = True
-                x = self.images[x]
-            out.append(tuple(cyc))
-        return out
+        return _cycles(self.images)
 
     def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles())) if self.images else 1
+        return _order(self.images)
 
     def parity(self) -> int:
         """0 for even, 1 for odd."""
-        return sum(len(c) - 1 for c in self.cycles()) % 2
+        return sum(len(c) - 1 for c in _cycles(self.images)) % 2
 
     def __str__(self) -> str:
         return format_cycles(self.images)
@@ -114,7 +148,7 @@ class Permutation:
 
 def format_cycles(raw: RawPerm) -> str:
     """1-based cycle notation; the identity is written ``()``."""
-    parts = Permutation(raw).cycles() if not isinstance(raw, Permutation) else raw.cycles()
+    parts = _cycles(raw)
     if not parts:
         return "()"
     return "".join("(" + " ".join(str(p + 1) for p in cyc) + ")" for cyc in parts)
@@ -566,6 +600,14 @@ def induced_map(src_gens: list[RawPerm], img_gens: list[RawPerm],
 # Constructions
 
 
+def _block_embedding(G0: PermGroup, P: PermGroup, i: int) -> GroupHom:
+    """G0 → P placing G0's points on block i of P's points."""
+    def fn(raw: RawPerm) -> RawPerm:
+        return _place_blocks(P.degree, [(i, raw)])
+
+    return GroupHom(G0, P, [Permutation(fn(g)) for g in G0.raw_gens()], map_fn=fn)
+
+
 def direct_power(G0: PermGroup, n: int) -> PermGroup:
     """G0^n acting on n disjoint copies of G0's points, coordinate 0 first.
 
@@ -573,32 +615,71 @@ def direct_power(G0: PermGroup, n: int) -> PermGroup:
     """
     if n < 1:
         raise InvalidInput("direct power requires n >= 1")
-    d = G0.degree
-    degree = n * d
-
-    def shifted(raw: RawPerm, i: int) -> Permutation:
-        images = list(range(degree))
-        for p, x in enumerate(raw):
-            images[i * d + p] = i * d + x
-        return Permutation(tuple(images))
-
-    gens: list[Permutation] = []
-    per_coord: list[list[Permutation]] = []
-    for i in range(n):
-        coord_gens = [shifted(g, i) for g in G0.raw_gens()]
-        per_coord.append(coord_gens)
-        gens.extend(coord_gens)
-    P = PermGroup(degree, gens)
-
-    embeddings = []
-    for i in range(n):
-        def mk_map(i=i):
-            def fn(raw: RawPerm) -> RawPerm:
-                return shifted(raw, i).images
-            return fn
-        embeddings.append(GroupHom(G0, P, per_coord[i], map_fn=mk_map()))
-    P.coordinate_embeddings = embeddings
+    degree = n * G0.degree
+    P = PermGroup(degree, [_place_blocks(degree, [(i, g)])
+                           for i in range(n) for g in G0.raw_gens()])
+    P.coordinate_embeddings = [_block_embedding(G0, P, i) for i in range(n)]
     return P
+
+
+def _coset_index(G: PermGroup, S: PermGroup, caps: Caps | None = None,
+                 ) -> tuple[list[RawPerm], Callable[[RawPerm], int]]:
+    """Left-coset representatives of S in G and the map x ↦ index of the coset xS.
+
+    Representatives are found breadth-first from the identity, which comes
+    first.  When |S| fits the enumeration cap a coset is keyed by its least
+    element; otherwise x is located by scanning for the representative r with
+    r⁻¹x ∈ S.  An element outside G raises InvalidInput.
+    """
+    if not S.is_subgroup_of(G):
+        raise InvalidInput("coset transversal requires S <= G")
+    reps: list[RawPerm] = []
+    if S.order() <= effective_caps(caps).enum_cap:
+        s_elems = S.raw_elements(caps)
+        slot: dict[RawPerm, int] = {}
+
+        def key_of(raw: RawPerm) -> RawPerm:
+            return min(_compose(raw, s) for s in s_elems)
+
+        def find(raw: RawPerm) -> int | None:
+            return slot.get(key_of(raw))
+
+        def add(raw: RawPerm) -> None:
+            slot[key_of(raw)] = len(reps)
+            reps.append(raw)
+    else:
+        inv_reps: list[RawPerm] = []
+
+        def find(raw: RawPerm) -> int | None:
+            for j, rinv in enumerate(inv_reps):
+                if S.contains_raw(_compose(rinv, raw)):
+                    return j
+            return None
+
+        def add(raw: RawPerm) -> None:
+            inv_reps.append(_inverse(raw))
+            reps.append(raw)
+
+    add(_identity(G.degree))
+    gens = G.raw_gens()
+    qi = 0
+    while qi < len(reps):
+        r = reps[qi]
+        qi += 1
+        for g in gens:
+            x = _compose(g, r)
+            if find(x) is None:
+                add(x)
+    if len(reps) != G.order() // S.order():
+        raise InvalidInput("transversal size does not match the index")
+
+    def coset_index(raw: RawPerm) -> int:
+        j = find(raw)
+        if j is None:
+            raise InvalidInput("element maps outside the coset space")
+        return j
+
+    return reps, coset_index
 
 
 def coset_transversal(G: PermGroup, S: PermGroup, caps: Caps | None = None) -> list[RawPerm]:
@@ -606,46 +687,7 @@ def coset_transversal(G: PermGroup, S: PermGroup, caps: Caps | None = None) -> l
 
     The identity coset (S itself) always comes first.
     """
-    if not S.is_subgroup_of(G):
-        raise InvalidInput("coset transversal requires S <= G")
-    index = G.order() // S.order()
-    reps: list[RawPerm] = [_identity(G.degree)]
-    use_keys = S.order() <= effective_caps(caps).enum_cap
-    key_of: Callable[[RawPerm], object]
-    if use_keys:
-        s_elems = S.raw_elements(caps)
-
-        def key_of(raw: RawPerm) -> object:
-            return min(_compose(raw, s) for s in s_elems)
-    else:
-        def key_of(raw: RawPerm) -> object:
-            return None
-    seen: dict[object, int] = {}
-    if use_keys:
-        seen[key_of(reps[0])] = 0
-
-    def find(raw: RawPerm) -> int | None:
-        if use_keys:
-            return seen.get(key_of(raw))
-        for j, r in enumerate(reps):
-            if S.contains_raw(_compose(_inverse(r), raw)):
-                return j
-        return None
-
-    qi = 0
-    gens = G.raw_gens()
-    while qi < len(reps):
-        r = reps[qi]
-        qi += 1
-        for g in gens:
-            x = _compose(g, r)
-            if find(x) is None:
-                if use_keys:
-                    seen[key_of(x)] = len(reps)
-                reps.append(x)
-    if len(reps) != index:
-        raise InvalidInput("transversal size does not match the index")
-    return reps
+    return _coset_index(G, S, caps)[0]
 
 
 def coset_action(G: PermGroup, S: PermGroup, caps: Caps | None = None,
@@ -655,29 +697,13 @@ def coset_action(G: PermGroup, S: PermGroup, caps: Caps | None = None,
     Returns the homomorphism onto its image; coset representatives are
     recorded on the homomorphism as `coset_reps` (identity coset first).
     """
-    reps = coset_transversal(G, S, caps)
-    index = len(reps)
-    use_keys = S.order() <= effective_caps(caps).enum_cap
-    if use_keys:
-        s_elems = S.raw_elements(caps)
-        lookup = {min(_compose(r, s) for s in s_elems): j for j, r in enumerate(reps)}
-
-        def coset_index(raw: RawPerm) -> int:
-            return lookup[min(_compose(raw, s) for s in s_elems)]
-    else:
-        inv_reps = [_inverse(r) for r in reps]
-
-        def coset_index(raw: RawPerm) -> int:
-            for j, rinv in enumerate(inv_reps):
-                if S.contains_raw(_compose(rinv, raw)):
-                    return j
-            raise InvalidInput("element maps outside the coset space")
+    reps, coset_index = _coset_index(G, S, caps)
 
     def act(raw: RawPerm) -> RawPerm:
         return tuple(coset_index(_compose(raw, r)) for r in reps)
 
     gen_images = [Permutation(act(g)) for g in G.raw_gens()]
-    image = PermGroup(index, gen_images)
+    image = PermGroup(len(reps), gen_images)
     hom = GroupHom(G, image, gen_images, map_fn=act, kernel=kernel)
     hom.coset_reps = [Permutation(r) for r in reps]
     return hom
@@ -717,31 +743,14 @@ class WreathProduct:
     def coordinate_embedding(self, i: int) -> GroupHom:
         if not 0 <= i < self.n_coords:
             raise InvalidInput(f"coordinate {i} outside 0..{self.n_coords - 1}")
-        d0 = self.g0.degree
-
-        def fn(raw: RawPerm) -> RawPerm:
-            images = list(range(self.group.degree))
-            for p, x in enumerate(raw):
-                images[i * d0 + p] = i * d0 + x
-            return tuple(images)
-
-        gen_images = [Permutation(fn(g)) for g in self.g0.raw_gens()]
-        return GroupHom(self.g0, self.group, gen_images, map_fn=fn)
+        return _block_embedding(self.g0, self.group, i)
 
     def top_lift(self, h) -> Permutation:
         """The canonical lift of h ∈ Gn: permute blocks, act naturally on the tail."""
         raw = h.images if isinstance(h, Permutation) else tuple(h)
         if not self.gn.contains_raw(raw):
             raise InvalidInput("top_lift argument is not in the top group")
-        sigma = self.coset_hom.apply_raw(raw)
-        d0, dn, n = self.g0.degree, self.gn.degree, self.n_coords
-        images = list(range(self.group.degree))
-        for i in range(n):
-            for p in range(d0):
-                images[i * d0 + p] = sigma[i] * d0 + p
-        for x in range(dn):
-            images[n * d0 + x] = n * d0 + raw[x]
-        return Permutation(tuple(images))
+        return Permutation(_lift_blocks(self.coset_hom.apply_raw(raw), self.g0.degree, raw))
 
 
 def wreath_by_cosets(G0: PermGroup, Gn: PermGroup, G_sub: PermGroup,
@@ -760,31 +769,13 @@ def wreath_by_cosets(G0: PermGroup, Gn: PermGroup, G_sub: PermGroup,
     d0, dn = G0.degree, Gn.degree
     degree = n * d0 + dn
 
-    def embed(raw: RawPerm, i: int) -> Permutation:
-        images = list(range(degree))
-        for p, x in enumerate(raw):
-            images[i * d0 + p] = i * d0 + x
-        return Permutation(tuple(images))
-
-    base_gens = [embed(g, i) for i in range(n) for g in G0.raw_gens()]
+    base_gens = [_place_blocks(degree, [(i, g)]) for i in range(n) for g in G0.raw_gens()]
     base = PermGroup(degree, base_gens)
-
-    def lift(raw: RawPerm) -> Permutation:
-        sigma = cos.apply_raw(raw)
-        images = list(range(degree))
-        for i in range(n):
-            for p in range(d0):
-                images[i * d0 + p] = sigma[i] * d0 + p
-        for x in range(dn):
-            images[n * d0 + x] = n * d0 + raw[x]
-        return Permutation(tuple(images))
-
-    top_lifts = [lift(g) for g in Gn.raw_gens()]
+    top_lifts = [_lift_blocks(cos.apply_raw(g), d0, g) for g in Gn.raw_gens()]
     group = PermGroup(degree, base_gens + top_lifts)
 
     def top_fn(raw: RawPerm) -> RawPerm:
-        off = n * d0
-        return tuple(raw[off + x] - off for x in range(dn))
+        return _restrict(raw, n * d0, dn)
 
     top = GroupHom(group, Gn,
                    [Permutation(top_fn(g.images)) for g in group.generators],

@@ -24,6 +24,9 @@ from .perm import (
     _compose,
     _conjugate,
     _identity,
+    _lift_blocks,
+    _place_blocks,
+    _restrict,
     direct_power,
     group_from_elements,
     identity_hom,
@@ -73,9 +76,7 @@ def _minimal_block(degree: int, gens: list[RawPerm], beta: int) -> int:
     return sum(1 for x in range(degree) if find(x) == root)
 
 
-def is_primitive(G: PermGroup) -> bool:
-    """No nontrivial block system; the action must be transitive on all points."""
-    degree = G.degree
+def _is_transitive(G: PermGroup) -> bool:
     gens = G.raw_gens()
     orbit = {0}
     frontier = [0]
@@ -85,10 +86,15 @@ def is_primitive(G: PermGroup) -> bool:
             if g[x] not in orbit:
                 orbit.add(g[x])
                 frontier.append(g[x])
-    if len(orbit) != degree:
+    return len(orbit) == G.degree
+
+
+def is_primitive(G: PermGroup) -> bool:
+    """No nontrivial block system; the action must be transitive on all points."""
+    if not _is_transitive(G):
         raise InvalidInput("primitivity requires a transitive action")
-    if degree == 1:
-        return True
+    degree = G.degree
+    gens = G.raw_gens()
     return all(_minimal_block(degree, gens, beta) == degree
                for beta in range(1, degree))
 
@@ -147,21 +153,6 @@ def maximal_selfnormalizing(G0: PermGroup, caps: Caps | None = None) -> PermGrou
             witness={"g0_order": G0.order(), "h0_order": H0.order(),
                      "normalizer_order": normalizer.order()})
     return H0
-
-
-def _is_transitive(G: PermGroup) -> bool:
-    gens = G.raw_gens()
-    if not gens:
-        return G.degree == 1
-    orbit = {0}
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            if g[x] not in orbit:
-                orbit.add(g[x])
-                frontier.append(g[x])
-    return len(orbit) == G.degree
 
 
 # ---------------------------------------------------------------------------
@@ -305,21 +296,15 @@ def build_realization(G: PermGroup, G0: PermGroup, Gn: PermGroup,
 
 def _check_top_quotient(wp, checks: dict) -> None:
     """Certify Γ/G0^N ≅ Gn via the restriction to the top group's own points."""
-    dn = wp.gn.degree
-    offset = wp.group.degree - dn
-
-    def tail(raw: RawPerm) -> RawPerm:
-        return tuple(raw[offset + i] - offset for i in range(dn))
-
     tails = []
     for g in wp.group.raw_gens():
-        t = tail(g)
+        t = wp.top.apply_raw(g)
         if not wp.gn.contains_raw(t):
             raise FalsificationAlarm(
                 "top restriction leaves the top group",
                 witness={"element": str(Permutation(g))})
         tails.append(t)
-    restricted = PermGroup(dn, [Permutation(t) for t in tails])
+    restricted = PermGroup(wp.gn.degree, tails)
     if restricted.order() != wp.gn.order():
         raise FalsificationAlarm(
             "top restriction is not surjective onto the top group",
@@ -387,12 +372,7 @@ def alternating_embedding(G: PermGroup, n: int,
 
     def fn(raw: RawPerm) -> RawPerm:
         r = reg.apply_raw(raw)
-        images = list(range(n))
-        for i, ri in enumerate(r):
-            images[i] = ri
-            if doubled:
-                images[m + i] = m + ri
-        return tuple(images)
+        return _place_blocks(n, [(0, r), (1, r)] if doubled else [(0, r)])
 
     gen_images = [Permutation(fn(g)) for g in G.raw_gens()]
     for p in gen_images:
@@ -536,14 +516,12 @@ def _is_automorphism(G: PermGroup, hom: GroupHom, caps: Caps) -> bool:
 
 def block_swap_automorphism(G0: PermGroup, n: int, i: int, j: int) -> GroupHom:
     """The automorphism of G0^n that exchanges coordinates i and j."""
-    d = G0.degree
     if not (0 <= i < n and 0 <= j < n and i != j):
         raise InvalidInput("coordinate swap needs two distinct coordinates")
     D = direct_power(G0, n)
-    swap = list(range(D.degree))
-    for p in range(d):
-        swap[i * d + p], swap[j * d + p] = j * d + p, i * d + p
-    swap_raw = tuple(swap)
+    sigma = list(range(n))
+    sigma[i], sigma[j] = j, i
+    swap_raw = _lift_blocks(tuple(sigma), G0.degree)
     images = [Permutation(_conjugate(swap_raw, g)) for g in D.raw_gens()]
     return GroupHom(D, D, images, map_fn=lambda x: _conjugate(swap_raw, x))
 
@@ -562,13 +540,8 @@ def coordinatewise_automorphism(G0: PermGroup, n: int,
     d = G0.degree
 
     def fn(raw: RawPerm) -> RawPerm:
-        images = list(range(D.degree))
-        for i in range(n):
-            block = tuple(raw[i * d + p] - i * d for p in range(d))
-            mapped = alphas[i].apply_raw(block, caps)
-            for p in range(d):
-                images[i * d + p] = mapped[p] + i * d
-        return tuple(images)
+        return _place_blocks(D.degree, [(i, alpha.apply_raw(_restrict(raw, i * d, d), caps))
+                                        for i, alpha in enumerate(alphas)])
 
     gen_images = [Permutation(fn(g)) for g in D.raw_gens()]
     return GroupHom(D, D, gen_images, map_fn=fn)

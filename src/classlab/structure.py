@@ -27,6 +27,7 @@ from .perm import (
     _conjugate,
     _identity,
     _inverse,
+    _order,
     coset_action,
     group_from_elements,
     identity_hom,
@@ -47,10 +48,6 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
-
-
-def _raw_order(raw: RawPerm) -> int:
-    return Permutation(raw).order()
 
 
 def _coerce_raws(G: PermGroup, seeds: Iterable) -> list[RawPerm]:
@@ -207,7 +204,7 @@ def is_cyclic(G: PermGroup, caps: Caps | None = None) -> bool:
         return True
     if not is_abelian(G):
         return False
-    return any(_raw_order(x) == n for x in sorted_elements(G, caps))
+    return any(_order(x) == n for x in sorted_elements(G, caps))
 
 
 def is_p_group(G: PermGroup, p: int) -> bool:
@@ -372,7 +369,7 @@ def quotient(G: PermGroup, N: PermGroup,
 def element_order_histogram(G: PermGroup, caps: Caps | None = None) -> dict[int, int]:
     hist: dict[int, int] = {}
     for x in G.raw_elements(caps):
-        o = _raw_order(x)
+        o = _order(x)
         hist[o] = hist.get(o, 0) + 1
     return hist
 
@@ -424,7 +421,7 @@ class IsoCertificate:
 
 def _generating_sequence(G: PermGroup, caps: Caps | None = None) -> list[RawPerm]:
     """A short generating sequence, greedily taking elements of large order."""
-    ordered = sorted(G.raw_elements(caps), key=lambda x: (-_raw_order(x), x))
+    ordered = sorted(G.raw_elements(caps), key=lambda x: (-_order(x), x))
     chain = StabChain(G.degree)
     seq: list[RawPerm] = []
     target = G.order()
@@ -471,7 +468,7 @@ def isomorphic(G: PermGroup, H: PermGroup,
         h_by_key.setdefault(key, []).extend(sorted(cls.members))
     buckets = []
     for x in seq:
-        key = (_raw_order(x), g_class_of[x])
+        key = (_order(x), g_class_of[x])
         buckets.append(h_by_key.get(key, []))
         if not buckets[-1]:
             return None
@@ -679,27 +676,15 @@ def complement_exists(G: PermGroup, N: PermGroup,
     # The fiber over a quotient element is rep·N for the matching coset
     # representative, so fibers come from one coset each instead of a
     # projection scan over all of G.
-    reps = getattr(proj, "coset_reps", None)
-    if reps is not None:
-        rep_for = {proj.apply_raw(r.images, caps): r.images for r in reps}
-        n_elems = sorted(N.raw_elements(caps))
-
-        def fiber_of(q: RawPerm) -> list[RawPerm]:
-            rep = rep_for[q]
-            return [_compose(rep, s) for s in n_elems]
-    else:
-        by_image: dict[RawPerm, list[RawPerm]] = {}
-        for x in sorted_elements(G, caps):
-            by_image.setdefault(proj.apply_raw(x, caps), []).append(x)
-
-        def fiber_of(q: RawPerm) -> list[RawPerm]:
-            return by_image.get(q, [])
+    rep_for = {proj.apply_raw(r.images, caps): r.images for r in proj.coset_reps}
+    n_elems = sorted(N.raw_elements(caps))
 
     fibers: list[list[RawPerm]] = []
     space = 1
     for q in q_seq:
-        want = _raw_order(q)
-        fiber = [x for x in fiber_of(q) if _raw_order(x) == want]
+        want = _order(q)
+        rep = rep_for[q]
+        fiber = [x for x in (_compose(rep, s) for s in n_elems) if _order(x) == want]
         if not fiber:
             return None
         fibers.append(fiber)

@@ -256,10 +256,6 @@ class TestCapsPlumbing:
         code, _, err = run_cli(capsys, "group", "C2", "--enum-cap", "0")
         assert code == 2
 
-    def test_jobs_flag_accepted(self, capsys):
-        code, _, _ = run_cli(capsys, "group", "C2", "--jobs", "8")
-        assert code == 0
-
 
 class TestUsageErrors:
     def test_unknown_command(self, capsys):

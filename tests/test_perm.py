@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from classlab.config import Caps
 from classlab.errors import InvalidInput, ParseError
 from classlab.perm import (
     GroupHom,
@@ -284,6 +285,46 @@ class TestCosetAction:
         C2 = generate(["(1 2)"], 4)
         with pytest.raises(InvalidInput):
             coset_action(A4, C2)
+
+    # (G generators, S generators, degree); Caps(enum_cap=1) forces the
+    # membership-scan index in place of the least-element key.
+    CASES = {
+        "S4/C2": (["(1 2)", "(1 2 3 4)"], ["(1 2)"], 4),
+        "S4/V4": (["(1 2)", "(1 2 3 4)"], ["(1 2)(3 4)", "(1 3)(2 4)"], 4),
+        "D8/centre": (["(1 2 3 4)", "(1 3)"], ["(1 3)(2 4)"], 4),
+        "Q8/C4": (["(1 2 3 4)(5 6 7 8)", "(1 5 3 7)(2 8 4 6)"],
+                  ["(1 2 3 4)(5 6 7 8)"], 8),
+        "A5/A4": (["(1 2 3)", "(3 4 5)"], ["(1 2 3)", "(1 2)(3 4)"], 5),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_scan_index_matches_keyed_index_and_brute_force(self, case):
+        g_gens, s_gens, degree = self.CASES[case]
+        G, S = generate(g_gens, degree), generate(s_gens, degree)
+        keyed = coset_action(G, S)
+        scan = coset_action(G, S, Caps(enum_cap=1))
+        assert scan.coset_reps == keyed.coset_reps
+        assert scan.gen_images == keyed.gen_images
+
+        s_elems = oracles.naive_closure(S.raw_gens(), degree)
+        g_elems = oracles.naive_closure(G.raw_gens(), degree)
+        cosets = [frozenset(oracles.compose(r.images, s) for s in s_elems)
+                  for r in keyed.coset_reps]
+        assert keyed.coset_reps[0].is_identity()
+        assert set(cosets) == {frozenset(oracles.compose(x, s) for s in s_elems)
+                               for x in g_elems}
+        assert len(set(cosets)) == len(cosets)
+        for g, image in zip(G.raw_gens(), keyed.gen_images):
+            for j, r in enumerate(keyed.coset_reps):
+                assert oracles.compose(g, r.images) in cosets[image(j)]
+
+    @pytest.mark.parametrize("caps", [None, Caps(enum_cap=1)], ids=["keyed", "scan"])
+    def test_element_outside_group_raises(self, caps):
+        A4 = generate(["(1 2 3)", "(1 2)(3 4)"], 4)
+        V = generate(["(1 2)(3 4)", "(1 3)(2 4)"], 4)
+        act = coset_action(A4, V, caps)
+        with pytest.raises(InvalidInput):
+            act.apply(Permutation.from_cycles("(1 2)", 4))
 
 
 class TestRegularRepresentation:
