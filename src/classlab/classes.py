@@ -115,6 +115,10 @@ class Pi(ClassExpr):
 class OrderAtMost(ClassExpr):
     n: int
 
+    def __post_init__(self):
+        if self.n < 1:
+            raise InvalidInput(f"le({self.n}) needs n >= 1")
+
     def key(self):
         return ("le", self.n)
 
@@ -127,6 +131,10 @@ class AltGE(ClassExpr):
     """Alternating groups A_m for m ≥ n, together with the trivial group."""
 
     n: int
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise InvalidInput(f"altge({self.n}) needs n >= 1")
 
     def key(self):
         return ("altge", self.n)
@@ -279,14 +287,14 @@ def _parse_expr(text: str, pos: int) -> tuple[ClassExpr, int]:
             if not args or not all(a.strip() for a in args):
                 raise ParseError("pi expects at least one prime")
             return Pi(tuple(int(a.strip()) for a in args)), pos
+        if name == "le":
+            return OrderAtMost(ints(1)[0]), pos
+        if name == "altge":
+            return AltGE(ints(1)[0]), pos
     except InvalidInput as exc:
         raise ParseError(str(exc)) from None
     except ValueError:
         raise ParseError(f"non-integer argument for {name}") from None
-    if name == "le":
-        return OrderAtMost(ints(1)[0]), pos
-    if name == "altge":
-        return AltGE(ints(1)[0]), pos
     if name == "set":
         specs = tuple(a.strip() for a in args if a.strip())
         if not specs:

@@ -183,7 +183,8 @@ def _cmd_group(args, caps: Caps):
     started = time.perf_counter()
     G = parse_group_spec(args.spec)
     lat = normal_subgroups(G, caps)
-    rad = baer_radical(G, caps)
+    # The radical is undefined for the trivial group, which has no quotients.
+    rad = baer_radical(G, caps) if G.order() > 1 else None
     quots = simple_quotients(G, caps)
     results = {
         "order": G.order(),
@@ -193,7 +194,7 @@ def _cmd_group(args, caps: Caps):
             "count": len(lat.members),
             "orders": sorted(m.order() for m in lat.members),
         },
-        "radical": {
+        "radical": None if rad is None else {
             "order": rad.order(),
             "name": recognize_name(rad, caps),
             "generators": rad.gen_strings(),
@@ -217,6 +218,7 @@ def _cmd_group(args, caps: Caps):
         f"  generators: {'; '.join(r['generators']) or '()'}",
         f"  normal lattice: {r['normal_lattice']['count']} subgroups, "
         f"orders {r['normal_lattice']['orders']}",
+        "  radical: none (trivial group)" if rad is None else
         f"  radical: order {r['radical']['order']}"
         + (f" ({r['radical']['name']})" if r['radical']['name'] else ""),
         "  simple quotients: "

@@ -512,6 +512,10 @@ class GroupHom:
         self._table: dict[RawPerm, RawPerm] | None = None
 
     def apply_raw(self, raw: RawPerm, caps: Caps | None = None) -> RawPerm:
+        if len(raw) != self.source.degree:
+            raise DegreeMismatch(
+                f"argument degree {len(raw)} differs from source degree "
+                f"{self.source.degree}")
         if self._map_fn is not None:
             return self._map_fn(raw)
         table = self._word_table(caps)

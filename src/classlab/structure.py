@@ -511,7 +511,23 @@ def isomorphic(G: PermGroup, H: PermGroup,
 
 def subgroups(G: PermGroup, limit: int | None = None,
               caps: Caps | None = None) -> list[PermGroup]:
-    """All subgroups: deduplicated cyclic subgroups closed under pairwise join."""
+    """All subgroups: the cyclic subgroups closed under pairwise join.
+
+    Elements are indexed once in `sorted_elements` order and a subgroup is
+    keyed by the int bitmask of its element indices.  The atoms are the
+    distinct cyclic subgroups <x>, taken in index order, each generated by
+    its least generator.  A breadth-first pass joins every subgroup S of the
+    current frontier with every atom a not in S, in atom order; the first
+    discovery of a mask fixes its generators as S's generators followed by a.
+    <S, a> is closed by right multiplication by its generators, each step a
+    lookup in the generator's row R_a[i] = index(elems[i] ∘ a), built the
+    first time that atom is used; a closure that passes half the elements of
+    G is G (Lagrange) and stops there.  Raises SubgroupLimitExceeded as soon as
+    joins take the count past the limit.  The result is ordered by
+    (order, sorted elements), which on the sorted index is
+    (popcount, ascending set bits).  Chains of the result groups are built
+    lazily from their generators, in generator order.
+    """
     caps_eff = effective_caps(caps)
     cap = limit if limit is not None else caps_eff.subgroup_limit
     cached = G._cache.get("subgroups")
@@ -521,38 +537,87 @@ def subgroups(G: PermGroup, limit: int | None = None,
                 f"subgroup count {len(cached)} exceeds limit {cap}")
         return cached
 
-    def key_of(S: PermGroup) -> frozenset[RawPerm]:
-        return S.element_set(caps)
+    elems = sorted_elements(G, caps)
+    n = len(elems)
+    index = {x: i for i, x in enumerate(elems)}
+    bits = [1 << i for i in range(n)]
+    rows: dict[int, list[int]] = {}
 
-    triv = trivial_group(G.degree)
-    found: dict[frozenset[RawPerm], PermGroup] = {key_of(triv): triv}
-    atoms: list[PermGroup] = []
-    for x in sorted_elements(G, caps):
-        A = PermGroup(G.degree, [Permutation(x)])
-        k = key_of(A)
-        if k not in found:
-            found[k] = A
-            atoms.append(A)
+    def row(a: int) -> list[int]:
+        r = rows.get(a)
+        if r is None:
+            g = elems[a]
+            r = rows[a] = [index[_compose(x, g)] for x in elems]
+        return r
 
-    frontier = list(atoms)
+    # mask -> (group, generator indices, member indices); the identity is index 0
+    found: dict[int, tuple[PermGroup, tuple[int, ...], list[int]]] = {
+        1: (trivial_group(G.degree), (), [0])}
+    atoms: list[tuple[int, Permutation]] = []
+    frontier: list[int] = []
+    ident = elems[0]
+    for i, x in enumerate(elems):
+        members = [0]
+        y = x
+        while y != ident:
+            members.append(index[y])
+            y = _compose(y, x)
+        mask = sum(bits[j] for j in members)
+        if mask not in found:
+            gen = Permutation(x)
+            found[mask] = (PermGroup(G.degree, [gen]), (i,), members)
+            atoms.append((i, gen))
+            frontier.append(mask)
+
+    everything = ((1 << n) - 1, list(range(n)))
+
+    def join(s_mask: int, s_set: set[int], s_members: list[int],
+             s_rows: list[list[int]], ra: list[int]) -> tuple[int, list[int]]:
+        """Mask and member indices of <S, a>; S is closed under s_rows."""
+        j_set = set(s_set)
+        j_members = list(s_members)
+        add, push = j_set.add, j_members.append
+        for e in s_members:
+            f = ra[e]
+            if f not in j_set:
+                add(f)
+                push(f)
+        j_rows = s_rows + [ra]
+        k = len(s_members)
+        while k < len(j_members):
+            # A subgroup with more than half the elements of G is G (Lagrange).
+            if 2 * len(j_members) > n:
+                return everything
+            e = j_members[k]
+            k += 1
+            for r in j_rows:
+                f = r[e]
+                if f not in j_set:
+                    add(f)
+                    push(f)
+        return s_mask + sum(bits[j] for j in j_members[len(s_members):]), j_members
+
     while frontier:
         nxt = []
-        for S in frontier:
-            for A in atoms:
-                gen = A.generators[0]
-                if S.contains_raw(gen.images):
+        for s_mask in frontier:
+            S, s_gens, s_members = found[s_mask]
+            s_set = set(s_members)
+            s_rows = [row(g) for g in s_gens]
+            for a, gen in atoms:
+                if a in s_set:
                     continue
-                J = S.extended([gen])
-                k = key_of(J)
-                if k not in found:
-                    found[k] = J
-                    nxt.append(J)
+                j_mask, j_members = join(s_mask, s_set, s_members, s_rows, row(a))
+                if j_mask not in found:
+                    J = PermGroup(G.degree, S.generators + (gen,))
+                    found[j_mask] = (J, s_gens + (a,), j_members)
+                    nxt.append(j_mask)
                     if len(found) > cap:
                         raise SubgroupLimitExceeded(
                             f"subgroup closure exceeded limit {cap}")
         frontier = nxt
 
-    result = sorted(found.values(), key=lambda S: (S.order(), tuple(sorted(key_of(S)))))
+    ranked = sorted(found.values(), key=lambda t: (len(t[2]), sorted(t[2])))
+    result = [t[0] for t in ranked]
     G._cache["subgroups"] = result
     return result
 

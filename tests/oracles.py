@@ -79,3 +79,22 @@ def all_perms(degree: int) -> list[RawPerm]:
     from itertools import permutations
 
     return [tuple(p) for p in permutations(range(degree))]
+
+
+def naive_subgroups(G: frozenset[RawPerm], degree: int) -> set[frozenset[RawPerm]]:
+    """Every subgroup, as an element set: the cyclic subgroups closed under join."""
+    cyclic = {naive_closure([x], degree): [x] for x in sorted(G)}
+    found = dict(cyclic)
+    frontier = list(found)
+    while frontier:
+        nxt = []
+        for H in frontier:
+            for C, (c,) in cyclic.items():
+                if c in H:
+                    continue
+                J = naive_closure(found[H] + [c], degree)
+                if J not in found:
+                    found[J] = found[H] + [c]
+                    nxt.append(J)
+        frontier = nxt
+    return set(found)

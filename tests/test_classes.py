@@ -109,6 +109,10 @@ def test_parse_nested():
     "pi()",
     "pi(2,four)",
     "le(1,2)",
+    "le(0)",
+    "le(-3)",
+    "altge(0)",
+    "altge(-1)",
     "set()",
     "set(E8)",
     "dual(abelian,cyclic)",
@@ -129,6 +133,15 @@ def test_pgroup_requires_prime():
         PGroup(6)
     with pytest.raises(InvalidInput):
         Pi((2, 9))
+
+
+def test_le_and_altge_require_positive_n():
+    assert parse_class_expr("le(1)") == OrderAtMost(1)
+    assert parse_class_expr("altge(1)") == AltGE(1)
+    with pytest.raises(InvalidInput):
+        OrderAtMost(0)
+    with pytest.raises(InvalidInput):
+        AltGE(-3)
 
 
 def test_pi_key_sorts_and_dedups():

@@ -56,6 +56,20 @@ class TestGroupCommand:
                                               "nilpotent", "solvable", "simple"}
         assert "total_s" in report["timing"]
 
+    def test_trivial_group(self, capsys):
+        code, out, _ = run_cli(capsys, "group", "C1")
+        assert code == 0
+        assert "order 1" in out
+        assert "radical: none (trivial group)" in out
+        assert "simple quotients: none" in out
+        code, out, _ = run_cli(capsys, "group", "C1", "--json")
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["order"] == 1
+        assert results["radical"] is None
+        assert results["simple_quotients"] == []
+        assert results["predicates"]["trivial"] is True
+
     def test_bad_spec_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "group", "NoSuchGroup")
         assert code == 2
@@ -91,6 +105,13 @@ class TestClassCommand:
         code, _, err = run_cli(capsys, "class", "dual(", "C4")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("expr", ["le(-3)", "le(0)", "altge(0)"])
+    def test_out_of_range_argument_exits_2(self, capsys, expr):
+        code, out, err = run_cli(capsys, "class", expr, "S3")
+        assert code == 2
+        assert out == ""
+        assert "needs n >= 1" in err
 
 
 class TestAuditCommand:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from classlab.config import Caps
-from classlab.errors import InvalidInput, ParseError
+from classlab.errors import DegreeMismatch, InvalidInput, ParseError
 from classlab.perm import (
     GroupHom,
     Permutation,
@@ -325,6 +325,15 @@ class TestCosetAction:
         act = coset_action(A4, V, caps)
         with pytest.raises(InvalidInput):
             act.apply(Permutation.from_cycles("(1 2)", 4))
+
+    @pytest.mark.parametrize("caps", [None, Caps(enum_cap=1)], ids=["keyed", "scan"])
+    @pytest.mark.parametrize("raw", [(1, 0, 2), (1, 0, 2, 3, 4)], ids=["short", "long"])
+    def test_wrong_degree_argument_raises(self, caps, raw):
+        S4 = generate(["(1 2)", "(1 2 3 4)"], 4)
+        V = generate(["(1 2)(3 4)", "(1 3)(2 4)"], 4)
+        act = coset_action(S4, V, caps)
+        with pytest.raises(DegreeMismatch):
+            act.apply_raw(raw)
 
 
 class TestRegularRepresentation:

@@ -1,5 +1,7 @@
 """Structural analysis: classes, lattices, radicals, quotients, isomorphism."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from classlab.errors import FalsificationAlarm, InvalidInput, SubgroupLimitExceeded
 from classlab.perm import GroupHom, Permutation, coset_action, generate
@@ -30,6 +32,7 @@ from classlab.structure import (
     simple_quotients,
     subgroups,
 )
+from classlab.universe import parse_group_spec
 
 import oracles
 
@@ -326,6 +329,68 @@ class TestSubgroups:
         G._cache.pop("subgroups", None)
         with pytest.raises(SubgroupLimitExceeded):
             subgroups(G, limit=10)
+
+    def test_cached_list_longer_than_limit_raises(self):
+        G = S4()
+        assert len(subgroups(G)) == 30
+        with pytest.raises(SubgroupLimitExceeded):
+            subgroups(G, limit=29)
+        assert len(subgroups(G, limit=30)) == 30
+
+    @pytest.mark.parametrize("spec,limit", [("S5", 100), ("A6", 50)])
+    def test_limit_stops_large_enumeration(self, spec, limit):
+        with pytest.raises(SubgroupLimitExceeded):
+            subgroups(parse_group_spec(spec), limit=limit)
+
+    @staticmethod
+    def assert_matches_oracle(G):
+        subs = subgroups(G)
+        fast = [S.element_set() for S in subs]
+        assert len(set(fast)) == len(fast)
+        assert set(fast) == oracles.naive_subgroups(G.element_set(), G.degree)
+        assert [S.order() for S in subs] == sorted(len(x) for x in fast)
+
+    @pytest.mark.parametrize("make", [D8, Q8, A4, S4])
+    def test_matches_naive_oracle(self, make):
+        self.assert_matches_oracle(make())
+
+    @given(st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.lists(st.permutations(list(range(n))).map(tuple),
+                           min_size=1, max_size=3)))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_naive_oracle_on_generated_groups(self, gens):
+        self.assert_matches_oracle(generate(gens, len(gens[0])))
+
+    def test_pinned_s4_generators(self):
+        assert [S.gen_strings() for S in subgroups(S4())] == [
+            [], ["(3 4)"], ["(2 3)"], ["(2 4)"], ["(1 2)"], ["(1 2)(3 4)"],
+            ["(1 3)"], ["(1 3)(2 4)"], ["(1 4)"], ["(1 4)(2 3)"], ["(2 3 4)"],
+            ["(1 2 3)"], ["(1 2 4)"], ["(1 3 4)"], ["(3 4)", "(1 2)"],
+            ["(2 3)", "(1 4)"], ["(2 4)", "(1 3)"], ["(1 2)(3 4)", "(1 3)(2 4)"],
+            ["(1 3 2 4)"], ["(1 2 3 4)"], ["(1 2 4 3)"], ["(3 4)", "(2 3)"],
+            ["(3 4)", "(1 3)"], ["(2 3)", "(1 2)"], ["(2 4)", "(1 2)"],
+            ["(3 4)", "(1 3)(2 4)"], ["(2 3)", "(1 2)(3 4)"],
+            ["(2 4)", "(1 2)(3 4)"], ["(2 3 4)", "(1 2)(3 4)"],
+            ["(3 4)", "(1 2 3)"]]
+
+    def test_pinned_sl23_orders_and_generators(self):
+        got = [(S.order(), S.gen_strings()) for S in subgroups(parse_group_spec("SL23"))]
+        assert got == [
+            (1, []),
+            (2, ["(1 2)(3 6)(4 8)(5 7)"]),
+            (3, ["(3 4 5)(6 8 7)"]),
+            (3, ["(1 3 8)(2 6 4)"]),
+            (3, ["(1 4 7)(2 8 5)"]),
+            (3, ["(1 5 6)(2 7 3)"]),
+            (4, ["(1 3 2 6)(4 5 8 7)"]),
+            (4, ["(1 4 2 8)(3 7 6 5)"]),
+            (4, ["(1 5 2 7)(3 4 6 8)"]),
+            (6, ["(1 2)(3 7 4 6 5 8)"]),
+            (6, ["(1 3 5 2 6 7)(4 8)"]),
+            (6, ["(1 4 3 2 8 6)(5 7)"]),
+            (6, ["(1 5 4 2 7 8)(3 6)"]),
+            (8, ["(1 3 2 6)(4 5 8 7)", "(1 4 2 8)(3 7 6 5)"]),
+            (24, ["(3 4 5)(6 8 7)", "(1 3 2 6)(4 5 8 7)"])]
 
     def test_matches_naive_filter_on_s3(self):
         G = S3()
