@@ -128,8 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--extras", metavar="NAMES",
                     help="comma-separated extra group specs; empty string for "
                          "none (default: the standard extras)")
-    pb.add_argument("--out", default="universe.json", metavar="PATH",
-                    help="output path (default universe.json)")
+    pb.add_argument("--out", default="universe.txt", metavar="PATH",
+                    help="output path (default universe.txt)")
 
     p = sub.add_parser("selftest", parents=[common],
                        help="run every registered verification check")

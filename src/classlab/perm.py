@@ -187,20 +187,24 @@ def parse_cycles(text: str, degree: int) -> RawPerm:
 
 
 class _Level:
-    __slots__ = ("point", "gens", "transversal")
+    __slots__ = ("point", "gens", "inverses", "checked")
 
     def __init__(self, point: int, ident: RawPerm):
         self.point = point
         self.gens: list[RawPerm] = []
-        self.transversal: dict[int, RawPerm] = {point: ident}
+        self.inverses: dict[int, RawPerm] = {point: ident}
+        # Schreier generators verified so far, in scan order; None once gens
+        # has outgrown the orbit in `inverses`.
+        self.checked: int | None = 0
 
 
 class StabChain:
     """Base and strong generating set, maintained by deterministic Schreier-Sims.
 
     Level i holds the strong generators fixing the first i base points, the
-    orbit of base point i under them, and a transversal u with u(point) = x
-    for each orbit point x.
+    orbit of base point i under them, and the inverse transversal: u⁻¹ for
+    each orbit point x, where u is the transversal element with u(point) = x.
+    Sifting needs only the inverses; the u themselves are rebuilt on demand.
     """
 
     def __init__(self, degree: int, gens: Iterable[RawPerm] = (), base_hint: Sequence[int] = ()):
@@ -218,17 +222,17 @@ class StabChain:
     def order(self) -> int:
         n = 1
         for lv in self.levels:
-            n *= len(lv.transversal)
+            n *= len(lv.inverses)
         return n
 
     def strip(self, g: RawPerm, start: int = 0) -> tuple[RawPerm, int]:
         """Sift g through levels ≥ start; return (residue, dropout level)."""
         for i in range(start, len(self.levels)):
             lv = self.levels[i]
-            u = lv.transversal.get(g[lv.point])
-            if u is None:
+            uinv = lv.inverses.get(g[lv.point])
+            if uinv is None:
                 return g, i
-            g = _compose(_inverse(u), g)
+            g = _compose(uinv, g)
         return g, len(self.levels)
 
     def contains(self, g: RawPerm) -> bool:
@@ -242,14 +246,15 @@ class StabChain:
         if not self.levels:
             yield self._ident
             return
+        transversals = [[_inverse(lv.inverses[x]) for x in sorted(lv.inverses)]
+                        for lv in self.levels]
 
         def rec(i: int, acc: RawPerm) -> Iterator[RawPerm]:
-            if i == len(self.levels):
+            if i == len(transversals):
                 yield acc
                 return
-            lv = self.levels[i]
-            for x in sorted(lv.transversal):
-                yield from rec(i + 1, _compose(acc, lv.transversal[x]))
+            for u in transversals[i]:
+                yield from rec(i + 1, _compose(acc, u))
 
         yield from rec(0, self._ident)
 
@@ -258,7 +263,8 @@ class StabChain:
         for lv in self.levels:
             nlv = _Level(lv.point, self._ident)
             nlv.gens = list(lv.gens)
-            nlv.transversal = dict(lv.transversal)
+            nlv.inverses = dict(lv.inverses)
+            nlv.checked = lv.checked
             other.levels.append(nlv)
         return other
 
@@ -287,43 +293,55 @@ class StabChain:
             self.levels.append(_Level(self._pick_point(h), self._ident))
         for m in range(lo, j + 1):
             self.levels[m].gens.append(h)
+            self.levels[m].checked = None
 
     def _recompute_orbit(self, i: int) -> None:
+        """Rebuild level i's orbit and inverse transversal: u_y⁻¹ = u_x⁻¹ ∘ s⁻¹
+        for y = s(x)."""
         lv = self.levels[i]
-        trans = {lv.point: self._ident}
+        inv_gens = [_inverse(s) for s in lv.gens]
+        inverses = {lv.point: self._ident}
         queue = [lv.point]
         qi = 0
         while qi < len(queue):
             x = queue[qi]
             qi += 1
-            ux = trans[x]
-            for s in lv.gens:
+            ux_inv = inverses[x]
+            for s, s_inv in zip(lv.gens, inv_gens):
                 y = s[x]
-                if y not in trans:
-                    trans[y] = _compose(s, ux)
+                if y not in inverses:
+                    inverses[y] = _compose(ux_inv, s_inv)
                     queue.append(y)
-        lv.transversal = trans
+        lv.inverses = inverses
+        lv.checked = 0
 
     def _first_failure(self, i: int) -> tuple[RawPerm, int] | None:
-        """First Schreier generator of level i that does not sift to identity."""
+        """First Schreier generator of level i that does not sift to identity.
+
+        The scan resumes after the pairs (t, s) already verified: levels below
+        i only grow, so a pair that sifted to the identity still does.
+        """
         lv = self.levels[i]
-        ident = self._ident
-        for t in sorted(lv.transversal):
-            ut = lv.transversal[t]
-            for s in lv.gens:
-                u_st = lv.transversal[s[t]]
-                sg = _compose(_inverse(u_st), _compose(s, ut))
-                if sg == ident:
-                    continue
-                h, j = self.strip(sg, i + 1)
-                if h != ident:
-                    return h, j
+        ident, gens, points = self._ident, lv.gens, sorted(lv.inverses)
+        for k in range(lv.checked, len(points) * len(gens)):
+            t, s = points[k // len(gens)], gens[k % len(gens)]
+            if k == lv.checked or k % len(gens) == 0:
+                ut = _inverse(lv.inverses[t])
+            sg = _compose(lv.inverses[s[t]], _compose(s, ut))
+            if sg == ident:
+                continue
+            h, j = self.strip(sg, i + 1)
+            if h != ident:
+                lv.checked = k + 1
+                return h, j
+        lv.checked = len(points) * len(gens)
         return None
 
     def _schreier_sims(self) -> None:
         i = len(self.levels) - 1
         while i >= 0:
-            self._recompute_orbit(i)
+            if self.levels[i].checked is None:
+                self._recompute_orbit(i)
             failure = self._first_failure(i)
             if failure is None:
                 i -= 1
@@ -626,45 +644,33 @@ def direct_power(G0: PermGroup, n: int) -> PermGroup:
     return P
 
 
-def _coset_index(G: PermGroup, S: PermGroup, caps: Caps | None = None,
-                 ) -> tuple[list[RawPerm], Callable[[RawPerm], int]]:
+def _coset_index(G: PermGroup, S: PermGroup) -> tuple[list[RawPerm], Callable[[RawPerm], int]]:
     """Left-coset representatives of S in G and the map x ↦ index of the coset xS.
 
     Representatives are found breadth-first from the identity, which comes
-    first.  When |S| fits the enumeration cap a coset is keyed by its least
-    element; otherwise x is located by scanning for the representative r with
-    r⁻¹x ∈ S.  An element outside G raises InvalidInput.
+    first.  A coset is keyed by the inverse of its canonical element, read
+    off S's stabilizer chain: at each level, among the orbit points δ pick
+    the one with the least image x(δ), and replace x by x ∘ u_δ.  The result
+    is the element of xS whose images of S's base points are least in turn;
+    no element of S is listed.  An element outside G raises InvalidInput.
     """
     if not S.is_subgroup_of(G):
         raise InvalidInput("coset transversal requires S <= G")
-    reps: list[RawPerm] = []
-    if S.order() <= effective_caps(caps).enum_cap:
-        s_elems = S.raw_elements(caps)
-        slot: dict[RawPerm, int] = {}
+    levels = [lv.inverses for lv in S.chain().levels if len(lv.inverses) > 1]
 
-        def key_of(raw: RawPerm) -> RawPerm:
-            return min(_compose(raw, s) for s in s_elems)
+    def key_of(raw: RawPerm) -> RawPerm:
+        # y = x⁻¹ throughout: the least x(δ) is the first p with y(p) in the orbit.
+        y = _inverse(raw)
+        for inverses in levels:
+            for delta in y:
+                if delta in inverses:
+                    y = _compose(inverses[delta], y)
+                    break
+        return y
 
-        def find(raw: RawPerm) -> int | None:
-            return slot.get(key_of(raw))
-
-        def add(raw: RawPerm) -> None:
-            slot[key_of(raw)] = len(reps)
-            reps.append(raw)
-    else:
-        inv_reps: list[RawPerm] = []
-
-        def find(raw: RawPerm) -> int | None:
-            for j, rinv in enumerate(inv_reps):
-                if S.contains_raw(_compose(rinv, raw)):
-                    return j
-            return None
-
-        def add(raw: RawPerm) -> None:
-            inv_reps.append(_inverse(raw))
-            reps.append(raw)
-
-    add(_identity(G.degree))
+    ident = _identity(G.degree)
+    reps: list[RawPerm] = [ident]
+    slot: dict[RawPerm, int] = {key_of(ident): 0}
     gens = G.raw_gens()
     qi = 0
     while qi < len(reps):
@@ -672,26 +678,20 @@ def _coset_index(G: PermGroup, S: PermGroup, caps: Caps | None = None,
         qi += 1
         for g in gens:
             x = _compose(g, r)
-            if find(x) is None:
-                add(x)
+            key = key_of(x)
+            if key not in slot:
+                slot[key] = len(reps)
+                reps.append(x)
     if len(reps) != G.order() // S.order():
         raise InvalidInput("transversal size does not match the index")
 
     def coset_index(raw: RawPerm) -> int:
-        j = find(raw)
+        j = slot.get(key_of(raw))
         if j is None:
             raise InvalidInput("element maps outside the coset space")
         return j
 
     return reps, coset_index
-
-
-def coset_transversal(G: PermGroup, S: PermGroup, caps: Caps | None = None) -> list[RawPerm]:
-    """Left-coset representatives of S in G, breadth-first from the identity.
-
-    The identity coset (S itself) always comes first.
-    """
-    return _coset_index(G, S, caps)[0]
 
 
 def coset_action(G: PermGroup, S: PermGroup, caps: Caps | None = None,
@@ -701,7 +701,7 @@ def coset_action(G: PermGroup, S: PermGroup, caps: Caps | None = None,
     Returns the homomorphism onto its image; coset representatives are
     recorded on the homomorphism as `coset_reps` (identity coset first).
     """
-    reps, coset_index = _coset_index(G, S, caps)
+    reps, coset_index = _coset_index(G, S)
 
     def act(raw: RawPerm) -> RawPerm:
         return tuple(coset_index(_compose(raw, r)) for r in reps)

@@ -523,7 +523,7 @@ def subgroups(G: PermGroup, limit: int | None = None,
     lookup in the generator's row R_a[i] = index(elems[i] ∘ a), built the
     first time that atom is used; a closure that passes half the elements of
     G is G (Lagrange) and stops there.  Raises SubgroupLimitExceeded as soon as
-    joins take the count past the limit.  The result is ordered by
+    the count, atoms included, passes the limit.  The result is ordered by
     (order, sorted elements), which on the sorted index is
     (popcount, ascending set bits).  Chains of the result groups are built
     lazily from their generators, in generator order.
@@ -551,10 +551,17 @@ def subgroups(G: PermGroup, limit: int | None = None,
         return r
 
     # mask -> (group, generator indices, member indices); the identity is index 0
-    found: dict[int, tuple[PermGroup, tuple[int, ...], list[int]]] = {
-        1: (trivial_group(G.degree), (), [0])}
+    found: dict[int, tuple[PermGroup, tuple[int, ...], list[int]]] = {}
     atoms: list[tuple[int, Permutation]] = []
     frontier: list[int] = []
+
+    def record(mask: int, entry: tuple, new: list[int]) -> None:
+        found[mask] = entry
+        new.append(mask)
+        if len(found) > cap:
+            raise SubgroupLimitExceeded(f"subgroup closure exceeded limit {cap}")
+
+    record(1, (trivial_group(G.degree), (), [0]), [])
     ident = elems[0]
     for i, x in enumerate(elems):
         members = [0]
@@ -565,9 +572,8 @@ def subgroups(G: PermGroup, limit: int | None = None,
         mask = sum(bits[j] for j in members)
         if mask not in found:
             gen = Permutation(x)
-            found[mask] = (PermGroup(G.degree, [gen]), (i,), members)
             atoms.append((i, gen))
-            frontier.append(mask)
+            record(mask, (PermGroup(G.degree, [gen]), (i,), members), frontier)
 
     everything = ((1 << n) - 1, list(range(n)))
 
@@ -609,11 +615,7 @@ def subgroups(G: PermGroup, limit: int | None = None,
                 j_mask, j_members = join(s_mask, s_set, s_members, s_rows, row(a))
                 if j_mask not in found:
                     J = PermGroup(G.degree, S.generators + (gen,))
-                    found[j_mask] = (J, s_gens + (a,), j_members)
-                    nxt.append(j_mask)
-                    if len(found) > cap:
-                        raise SubgroupLimitExceeded(
-                            f"subgroup closure exceeded limit {cap}")
+                    record(j_mask, (J, s_gens + (a,), j_members), nxt)
         frontier = nxt
 
     ranked = sorted(found.values(), key=lambda t: (len(t[2]), sorted(t[2])))

@@ -10,7 +10,7 @@ import re
 from dataclasses import dataclass
 
 from .config import Caps, effective_caps
-from .errors import InvalidInput, ParseError
+from .errors import CapExceeded, InvalidInput, ParseError
 from .perm import PermGroup, Permutation, generate, trivial_group
 from .structure import fingerprint, is_abelian, is_cyclic, isomorphic, subgroups
 
@@ -133,14 +133,22 @@ def parse_group_spec(text: str) -> PermGroup:
 
 
 def recognize_name(G: PermGroup, caps: Caps | None = None) -> str | None:
-    """A conventional name for the group's iso-type, if it has one here."""
+    """A conventional name for the group's iso-type, if it has one here.
+
+    A group too large to compare within the caps gets no name.
+    """
     n = G.order()
     if n == 1:
         return "C1"
-    if is_cyclic(G, caps):
-        return f"C{n}"
+    try:
+        if is_cyclic(G, caps):
+            return f"C{n}"
+    except CapExceeded:
+        return None
     if n == 4 and is_abelian(G):
         return "V4"
+    if n > effective_caps(caps).iso_cap:
+        return None  # before building the candidates: D_n alone has n/2 points
     candidates: list[tuple[str, PermGroup]] = []
     for k in range(3, 8):
         fact = 1
@@ -159,8 +167,11 @@ def recognize_name(G: PermGroup, caps: Caps | None = None) -> str | None:
     if n % 2 == 0 and n >= 6:
         candidates.append((f"D{n}", dihedral(n)))
     for name, H in candidates:
-        if isomorphic(G, H, caps) is not None:
-            return name
+        try:
+            if isomorphic(G, H, caps) is not None:
+                return name
+        except CapExceeded:
+            return None
     return None
 
 

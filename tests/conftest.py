@@ -16,7 +16,7 @@ def default_catalog():
 
 @pytest.fixture(scope="session")
 def universe_file(default_catalog, tmp_path_factory):
-    path = tmp_path_factory.mktemp("universe") / "default.json"
+    path = tmp_path_factory.mktemp("universe") / "default.txt"
     save_catalog(default_catalog, str(path))
     return str(path)
 

@@ -1,4 +1,7 @@
 """Tests for the class calculus: grammar, membership, duals, audits."""
+import re
+from pathlib import Path
+
 import pytest
 
 from classlab.classes import (
@@ -97,6 +100,31 @@ def test_parse_nested():
     expr = parse_class_expr("dualn(inter(union(abelian,simple),le(60)),2)")
     assert expr == DualIter(Intersect(Union(Abelian(), Simple()),
                                       OrderAtMost(60)), 2)
+
+
+def _readme_grammar_terms() -> list[str]:
+    """Every atom and combinator in README's class-expression block, with
+    the placeholders a, b, k filled in."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```\natoms", 1)[1].split("```", 1)[0]
+    terms = []
+    for line in ("atoms" + block).splitlines():
+        head, _, rest = line.partition(" ")
+        if head in ("atoms", "combinators"):
+            terms += rest.split()
+        elif line.strip():
+            terms.append(line.split()[0])
+    fill = {"a": "cyclic", "b": "abelian", "k": "2"}
+    return [re.sub(r"\b[abk]\b", lambda m: fill[m.group()], t) for t in terms]
+
+
+def test_readme_grammar_block_parses():
+    terms = _readme_grammar_terms()
+    assert "inter(cyclic,abelian)" in terms and "dualn(cyclic,2)" in terms
+    assert len(terms) == 18
+    for term in terms:
+        expr = parse_class_expr(term)
+        assert parse_class_expr(expr.text()) == expr
 
 
 @pytest.mark.parametrize("bad", [

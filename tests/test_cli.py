@@ -15,7 +15,7 @@ def run_cli(capsys, *argv):
 
 @pytest.fixture(scope="module")
 def small_universe(tmp_path_factory):
-    path = str(tmp_path_factory.mktemp("cli") / "d4.json")
+    path = str(tmp_path_factory.mktemp("cli") / "d4.txt")
     assert main(["universe", "build", "--sym-degree", "4", "--extras", "",
                  "--out", path]) == 0
     return path
@@ -69,6 +69,15 @@ class TestGroupCommand:
         assert results["radical"] is None
         assert results["simple_quotients"] == []
         assert results["predicates"]["trivial"] is True
+
+    def test_radical_past_iso_cap_is_unnamed(self, capsys):
+        # The radical A8 (order 20160) is past the default iso cap of 20000.
+        code, out, _ = run_cli(capsys, "group", "S8", "--json")
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["radical"]["order"] == 20160
+        assert results["radical"]["name"] is None
+        assert results["simple_quotients"] == [{"order": 2, "name": "C2"}]
 
     def test_bad_spec_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "group", "NoSuchGroup")
@@ -206,7 +215,7 @@ class TestSearchCommand:
 
 class TestUniverseBuild:
     def test_build_and_count(self, capsys, tmp_path):
-        path = tmp_path / "d3.json"
+        path = tmp_path / "d3.txt"
         code, out, _ = run_cli(capsys, "universe", "build", "--sym-degree", "3",
                                "--extras", "", "--out", str(path), "--json")
         assert code == 0
@@ -214,6 +223,15 @@ class TestUniverseBuild:
         assert report["results"]["count"] == 4
         assert report["results"]["entries"] == ["C1", "C2", "C3", "S3"]
         assert path.exists()
+
+    def test_default_out_is_a_text_file(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, _, _ = run_cli(capsys, "universe", "build", "--sym-degree", "3",
+                             "--extras", "")
+        assert code == 0
+        text = (tmp_path / "universe.txt").read_text()
+        assert text.startswith("classlab-universe v1")
+        assert not (tmp_path / "universe.json").exists()
 
 
 class TestSelftestCommand:
@@ -241,12 +259,12 @@ class TestSelftestCommand:
 
     def test_missing_universe_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "selftest", "--universe",
-                               str(tmp_path / "missing.json"))
+                               str(tmp_path / "missing.txt"))
         assert code == 2
         assert "cannot load universe file" in err
 
     def test_corrupt_universe_exits_2(self, capsys, tmp_path):
-        bad = tmp_path / "bad.json"
+        bad = tmp_path / "bad.txt"
         bad.write_text("not a catalog")
         code, _, err = run_cli(capsys, "selftest", "--universe", str(bad))
         assert code == 2

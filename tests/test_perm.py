@@ -1,4 +1,6 @@
 """Permutation arithmetic, stabilizer chains, and product constructions."""
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,8 @@ from classlab.perm import (
     trivial_group,
     wreath_by_cosets,
 )
+from classlab.realization import realize
+from classlab.universe import parse_group_spec
 
 import oracles
 
@@ -33,6 +37,18 @@ def same_degree_pairs():
     return st.integers(min_value=1, max_value=7).flatmap(
         lambda n: st.tuples(st.permutations(list(range(n))).map(tuple),
                             st.permutations(list(range(n))).map(tuple)))
+
+
+@st.composite
+def group_with_subgroup(draw):
+    """(degree, generators of G, generators of a subgroup of G, a point)."""
+    degree = draw(st.integers(min_value=1, max_value=5))
+    perm = st.permutations(list(range(degree))).map(tuple)
+    g_gens = draw(st.lists(perm, min_size=1, max_size=3))
+    elems = sorted(oracles.naive_closure(g_gens, degree))
+    s_gens = draw(st.lists(st.sampled_from(elems), max_size=2))
+    point = draw(st.integers(min_value=0, max_value=degree - 1))
+    return degree, g_gens, s_gens, point
 
 
 def same_degree_triples():
@@ -155,6 +171,52 @@ class TestStabChain:
         c.extend(Permutation.from_cycles("(3 4 5)", 5).images)
         assert c.order() == 60
         assert G.order() == 3
+
+    def test_extending_a_copy_leaves_the_original_alone(self):
+        G = generate(["(1 2 3)(4 5)", "(1 2)"], 6)
+        chain = G.chain()
+        orbits = [sorted(lv.inverses) for lv in chain.levels]
+        c = chain.copy()
+        c.extend(Permutation.from_cycles("(1 2 3 4 5 6)", 6).images)
+        assert c.order() == 720
+        assert [sorted(lv.inverses) for lv in chain.levels] == orbits
+        assert chain.order() == G.order() == 12
+        # The original's Schreier-generator scan state is its own too: growing
+        # it afterwards gives the chain a fresh build gives.
+        extra = Permutation.from_cycles("(5 6)", 6).images
+        chain.extend(extra)
+        fresh = StabChain(6, G.raw_gens() + [extra])
+        assert chain.base() == fresh.base()
+        assert [lv.gens for lv in chain.levels] == [lv.gens for lv in fresh.levels]
+        assert list(chain.iter_elements()) == list(fresh.iter_elements())
+
+    @pytest.mark.parametrize("raws", [
+        [(1, 0, 4, 3, 2), (2, 4, 0, 1, 3), (0, 3, 1, 2, 4)],
+        [(0, 3, 4, 1, 2), (4, 2, 1, 0, 3)],
+    ])
+    def test_resumed_scan_finds_every_failure(self, raws):
+        # Both generate S5; in each, a level's Schreier-generator scan fails
+        # on two consecutive pairs, so resuming one pair too late loses half
+        # of the group.
+        assert StabChain(5, raws).order() == len(oracles.naive_closure(raws, 5)) == 120
+
+    # sha256 of repr(raw_elements()).  Element order depends on the base, the
+    # strong generators and every transversal element, so these pin the chain.
+    PINNED_ELEMENT_ORDERS = {
+        "S5": "0ee1b8204c4f55fc013a1ecb1b96437bd877419235e9e1513264d97edbf24b30",
+        "SL25": "71655dd97fec31081f6edd1532efcc861b49cfe470fe3726687fd9dc027645e9",
+        "gamma C2 top C4": "beee508474b0712db3d4c0e74254d9fb7686aff7f781aece0e0c92ba0bf3c2b4",
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED_ELEMENT_ORDERS))
+    def test_element_order_is_pinned(self, name):
+        if name == "gamma C2 top C4":
+            G = realize(parse_group_spec("C2"), top=parse_group_spec("C4"),
+                        brute_check=False).gamma
+        else:
+            G = parse_group_spec(name)
+        digest = hashlib.sha256(repr(G.raw_elements()).encode()).hexdigest()
+        assert digest == self.PINNED_ELEMENT_ORDERS[name]
 
     def test_extended_reuses_without_mutation(self):
         C3 = generate(["(1 2 3)"], 5)
@@ -286,8 +348,9 @@ class TestCosetAction:
         with pytest.raises(InvalidInput):
             coset_action(A4, C2)
 
-    # (G generators, S generators, degree); Caps(enum_cap=1) forces the
-    # membership-scan index in place of the least-element key.
+    # (G generators, S generators, degree).  The coset key walks S's chain
+    # whatever the caps, so the Caps(enum_cap=1) ("scan") cases check that
+    # caps do not change the answer.
     CASES = {
         "S4/C2": (["(1 2)", "(1 2 3 4)"], ["(1 2)"], 4),
         "S4/V4": (["(1 2)", "(1 2 3 4)"], ["(1 2)(3 4)", "(1 3)(2 4)"], 4),
@@ -334,6 +397,36 @@ class TestCosetAction:
         act = coset_action(S4, V, caps)
         with pytest.raises(DegreeMismatch):
             act.apply_raw(raw)
+
+    @staticmethod
+    def _assert_brute_force_cosets(G, S):
+        """Each x in G lands on the index of its brute-force left coset xS."""
+        act = coset_action(G, S)
+        g_elems = oracles.naive_closure(G.raw_gens(), G.degree)
+        s_elems = oracles.naive_closure(S.raw_gens(), G.degree)
+        classes: dict[int, set] = {}
+        for x in g_elems:
+            # x carries the identity coset S (index 0) to xS.
+            classes.setdefault(act.apply_raw(x)[0], set()).add(x)
+        assert sorted(classes) == list(range(len(g_elems) // len(s_elems)))
+        for j, members in classes.items():
+            x = next(iter(members))
+            assert members == {oracles.compose(x, s) for s in s_elems}
+            assert act.coset_reps[j].images in members
+
+    @given(group_with_subgroup())
+    @settings(max_examples=40, deadline=None)
+    def test_cosets_of_generated_subgroup_match_brute_force(self, case):
+        degree, g_gens, s_gens, _ = case
+        self._assert_brute_force_cosets(generate(g_gens, degree),
+                                        generate(s_gens, degree))
+
+    @given(group_with_subgroup())
+    @settings(max_examples=40, deadline=None)
+    def test_cosets_of_point_stabilizer_match_brute_force(self, case):
+        degree, g_gens, _, point = case
+        G = generate(g_gens, degree)
+        self._assert_brute_force_cosets(G, point_stabilizer(G, point))
 
 
 class TestRegularRepresentation:

@@ -337,6 +337,15 @@ class TestSubgroups:
             subgroups(G, limit=29)
         assert len(subgroups(G, limit=30)) == 30
 
+    def test_limit_counts_cyclic_atoms(self):
+        # C6 has four subgroups, all cyclic, so no join adds one: the first
+        # call must raise as the second does.
+        C6 = parse_group_spec("C6")
+        for _ in range(2):
+            with pytest.raises(SubgroupLimitExceeded):
+                subgroups(C6, limit=1)
+        assert len(subgroups(C6, limit=4)) == 4
+
     @pytest.mark.parametrize("spec,limit", [("S5", 100), ("A6", 50)])
     def test_limit_stops_large_enumeration(self, spec, limit):
         with pytest.raises(SubgroupLimitExceeded):

@@ -1,6 +1,7 @@
 """Catalog construction, group-spec parsing, and persistence."""
 import pytest
 
+from classlab.config import Caps
 from classlab.errors import InvalidInput, ParseError
 from classlab.structure import fingerprint, has_prime_order_quotient, isomorphic
 from classlab.universe import (
@@ -101,6 +102,12 @@ class TestRecognizeName:
         frobenius20 = parse_group_spec("perm5[(1 2 3 4 5);(2 3 5 4)]")
         assert frobenius20.order() == 20
         assert recognize_name(frobenius20) is None
+
+    def test_group_past_a_cap_gets_no_name(self):
+        assert recognize_name(alternating(5), Caps(iso_cap=50)) is None
+        assert recognize_name(alternating(5), Caps(iso_cap=60)) == "A5"
+        assert recognize_name(alternating(5), Caps(enum_cap=10)) is None
+        assert recognize_name(cyclic(12), Caps(enum_cap=10)) is None
 
 
 class TestBuildUniverse:
