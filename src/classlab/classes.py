@@ -11,6 +11,7 @@ catalog-relative.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 from .config import Caps, effective_caps
@@ -396,23 +397,25 @@ class ClassEval:
     Groups are canonicalized to iso-type ids through a fingerprint-bucketed
     registry; a bucket hit is confirmed by a certified isomorphism before the
     memo entry is shared, so fingerprint collisions can never leak results
-    across genuinely different groups.
+    across genuinely different groups.  Per-group state is keyed weakly, so
+    only the registry's one representative per iso type outlives its caller.
     """
 
     def __init__(self, caps: Caps | None = None):
         self.caps = effective_caps(caps)
         self._registry: dict[tuple, list[tuple[PermGroup, int]]] = {}
-        self._gid_of: dict[int, int] = {}
-        self._keepalive: list[PermGroup] = []
+        self._gid_of: weakref.WeakKeyDictionary[PermGroup, int] = weakref.WeakKeyDictionary()
         self._memo: dict[tuple, bool] = {}
-        self._quotients: dict[tuple[int, int], PermGroup] = {}
+        # G ↦ {lattice index ↦ quotient}, None standing for G/1 = G
+        self._quotients: weakref.WeakKeyDictionary[PermGroup, dict[int, PermGroup | None]] = (
+            weakref.WeakKeyDictionary())
         self._finite_sets: dict[tuple[str, ...], list[PermGroup]] = {}
         self._next_gid = 0
 
     # -- canonicalization ------------------------------------------------
 
     def canon_id(self, G: PermGroup) -> int:
-        gid = self._gid_of.get(id(G))
+        gid = self._gid_of.get(G)
         if gid is not None:
             return gid
         fp = fingerprint(G, self.caps)
@@ -425,22 +428,21 @@ class ClassEval:
             gid = self._next_gid
             self._next_gid += 1
             bucket.append((G, gid))
-        self._gid_of[id(G)] = gid
-        self._keepalive.append(G)
+        self._gid_of[G] = gid
         return gid
 
     def lattice(self, G: PermGroup):
         return normal_subgroups(G, self.caps)
 
     def quotient_at(self, G: PermGroup, idx: int) -> PermGroup:
-        key = (id(G), idx)
-        Q = self._quotients.get(key)
-        if Q is None:
+        known = self._quotients.setdefault(G, {})
+        if idx not in known:
             N = self.lattice(G).members[idx]
             Q, _ = quotient(G, N, self.caps)
-            self._quotients[key] = Q
-            self._keepalive.append(G)
-        return Q
+            # Holding G under its own weak key would keep it alive.
+            known[idx] = None if Q is G else Q
+        Q = known[idx]
+        return G if Q is None else Q
 
     # -- membership ------------------------------------------------------
 

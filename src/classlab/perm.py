@@ -644,23 +644,24 @@ def direct_power(G0: PermGroup, n: int) -> PermGroup:
     return P
 
 
-def _coset_index(G: PermGroup, S: PermGroup) -> tuple[list[RawPerm], Callable[[RawPerm], int]]:
-    """Left-coset representatives of S in G and the map x ↦ index of the coset xS.
+def _coset_index(G: PermGroup, S: PermGroup
+                 ) -> tuple[list[RawPerm], list[RawPerm], Callable[[RawPerm], int]]:
+    """Left-coset representatives r of S in G, their inverses r⁻¹, and y ↦ index of y⁻¹S.
 
     Representatives are found breadth-first from the identity, which comes
     first.  A coset is keyed by the inverse of its canonical element, read
     off S's stabilizer chain: at each level, among the orbit points δ pick
     the one with the least image x(δ), and replace x by x ∘ u_δ.  The result
     is the element of xS whose images of S's base points are least in turn;
-    no element of S is listed.  An element outside G raises InvalidInput.
+    no element of S is listed.  The walk runs on y = x⁻¹, formed as
+    (g ∘ r)⁻¹ = r⁻¹ ∘ g⁻¹.  An element outside G raises InvalidInput.
     """
     if not S.is_subgroup_of(G):
         raise InvalidInput("coset transversal requires S <= G")
     levels = [lv.inverses for lv in S.chain().levels if len(lv.inverses) > 1]
 
-    def key_of(raw: RawPerm) -> RawPerm:
-        # y = x⁻¹ throughout: the least x(δ) is the first p with y(p) in the orbit.
-        y = _inverse(raw)
+    def key_of(y: RawPerm) -> RawPerm:
+        # y = x⁻¹: the least x(δ) is the first p with y(p) in the orbit.
         for inverses in levels:
             for delta in y:
                 if delta in inverses:
@@ -670,28 +671,31 @@ def _coset_index(G: PermGroup, S: PermGroup) -> tuple[list[RawPerm], Callable[[R
 
     ident = _identity(G.degree)
     reps: list[RawPerm] = [ident]
+    rep_inverses: list[RawPerm] = [ident]
     slot: dict[RawPerm, int] = {key_of(ident): 0}
     gens = G.raw_gens()
+    gen_inverses = [_inverse(g) for g in gens]
     qi = 0
     while qi < len(reps):
-        r = reps[qi]
+        r, r_inv = reps[qi], rep_inverses[qi]
         qi += 1
-        for g in gens:
-            x = _compose(g, r)
-            key = key_of(x)
+        for g, g_inv in zip(gens, gen_inverses):
+            y = _compose(r_inv, g_inv)
+            key = key_of(y)
             if key not in slot:
                 slot[key] = len(reps)
-                reps.append(x)
+                reps.append(_compose(g, r))
+                rep_inverses.append(y)
     if len(reps) != G.order() // S.order():
         raise InvalidInput("transversal size does not match the index")
 
-    def coset_index(raw: RawPerm) -> int:
-        j = slot.get(key_of(raw))
+    def index_of_inverse(y: RawPerm) -> int:
+        j = slot.get(key_of(y))
         if j is None:
             raise InvalidInput("element maps outside the coset space")
         return j
 
-    return reps, coset_index
+    return reps, rep_inverses, index_of_inverse
 
 
 def coset_action(G: PermGroup, S: PermGroup, caps: Caps | None = None,
@@ -701,10 +705,11 @@ def coset_action(G: PermGroup, S: PermGroup, caps: Caps | None = None,
     Returns the homomorphism onto its image; coset representatives are
     recorded on the homomorphism as `coset_reps` (identity coset first).
     """
-    reps, coset_index = _coset_index(G, S)
+    reps, rep_inverses, index_of_inverse = _coset_index(G, S)
 
     def act(raw: RawPerm) -> RawPerm:
-        return tuple(coset_index(_compose(raw, r)) for r in reps)
+        raw_inv = _inverse(raw)
+        return tuple(index_of_inverse(_compose(r_inv, raw_inv)) for r_inv in rep_inverses)
 
     gen_images = [Permutation(act(g)) for g in G.raw_gens()]
     image = PermGroup(len(reps), gen_images)

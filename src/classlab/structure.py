@@ -419,11 +419,14 @@ class IsoCertificate:
         return image.order() == tgt.order()
 
 
-def _generating_sequence(G: PermGroup, caps: Caps | None = None) -> list[RawPerm]:
-    """A short generating sequence, greedily taking elements of large order."""
+def _generating_sequence(G: PermGroup, caps: Caps | None = None
+                         ) -> tuple[list[RawPerm], list[int]]:
+    """A short generating sequence x_0, x_1, …, greedily taking elements of
+    large order, and the orders of its prefix subgroups ⟨x_0..x_k⟩."""
     ordered = sorted(G.raw_elements(caps), key=lambda x: (-_order(x), x))
     chain = StabChain(G.degree)
     seq: list[RawPerm] = []
+    orders: list[int] = []
     target = G.order()
     for x in ordered:
         if chain.order() == target:
@@ -431,12 +434,21 @@ def _generating_sequence(G: PermGroup, caps: Caps | None = None) -> list[RawPerm
         if not chain.contains(x):
             chain.extend(x)
             seq.append(x)
-    return seq
+            orders.append(chain.order())
+    return seq, orders
 
 
 def isomorphic(G: PermGroup, H: PermGroup,
                caps: Caps | None = None) -> IsoCertificate | None:
-    """An isomorphism certificate, or None; fingerprint rejection then backtracking."""
+    """An isomorphism certificate, or None; fingerprint rejection then backtracking.
+
+    Backtracks over images y_k in H of a generating sequence x_k of G, each drawn
+    in a fixed order (class by class, each class sorted) from the elements whose
+    order and class size match x_k.  A node is kept only when x_i ↦ y_i (i ≤ k)
+    extends to an isomorphism ⟨x_0..x_k⟩ → ⟨y_0..y_k⟩.  Every prefix of an
+    isomorphism passes, so the first success in that order is returned and
+    certificates are deterministic.
+    """
     caps_eff = effective_caps(caps)
     if G.order() != H.order():
         return None
@@ -450,12 +462,7 @@ def isomorphic(G: PermGroup, H: PermGroup,
         return IsoCertificate(GroupHom(G, H, [], map_fn=lambda raw: _identity(H.degree),
                                        kernel=trivial_group(G.degree)), (fpG, fpH))
 
-    seq = _generating_sequence(G, caps)
-    partial_orders = []
-    chain = StabChain(G.degree)
-    for x in seq:
-        chain.extend(x)
-        partial_orders.append(chain.order())
+    seq, partial_orders = _generating_sequence(G, caps)
 
     g_class_of: dict[RawPerm, int] = {}
     for cls in conjugacy_classes(G, caps):
@@ -473,33 +480,24 @@ def isomorphic(G: PermGroup, H: PermGroup,
         if not buckets[-1]:
             return None
 
-    depth = len(seq)
-    found: list[dict[RawPerm, RawPerm]] = []
-
-    def dfs(k: int, h_chain: StabChain, images: list[RawPerm]) -> bool:
-        if k == depth:
-            table = induced_map(seq, images, G.degree, H.degree, n + 1)
-            if table is not None and len(table) == n:
-                found.append(table)
-                return True
-            return False
+    def dfs(k: int, images: list[RawPerm]) -> dict[RawPerm, RawPerm] | None:
         for cand in buckets[k]:
-            if h_chain.contains(cand):
-                if partial_orders[k] != h_chain.order():
-                    continue
-                trial = h_chain
-            else:
-                trial = h_chain.copy()
-                trial.extend(cand)
-                if trial.order() != partial_orders[k]:
-                    continue
-            if dfs(k + 1, trial, images + [cand]):
-                return True
-        return False
-
-    if not dfs(0, StabChain(H.degree), []):
+            trial = images + [cand]
+            # Keys lie in ⟨x_0..x_k⟩, so the limit is never reached.
+            table = induced_map(seq[:k + 1], trial, G.degree, H.degree,
+                                partial_orders[k] + 1)
+            if table is None or len(set(table.values())) != partial_orders[k]:
+                continue
+            if k + 1 == len(seq):
+                return table
+            found = dfs(k + 1, trial)
+            if found is not None:
+                return found
         return None
-    table = found[0]
+
+    table = dfs(0, [])
+    if table is None:
+        return None
     gen_images = [Permutation(table[g]) for g in G.raw_gens()]
     hom = GroupHom(G, H, gen_images, kernel=trivial_group(G.degree))
     return IsoCertificate(hom, (fpG, fpH))
@@ -738,7 +736,7 @@ def complement_exists(G: PermGroup, N: PermGroup,
         return trivial_group(G.degree)
     Q, proj = quotient(G, N, caps)
     q_order = Q.order()
-    q_seq = _generating_sequence(Q, caps)
+    q_seq, _ = _generating_sequence(Q, caps)
 
     # The fiber over a quotient element is rep·N for the matching coset
     # representative, so fibers come from one coset each instead of a

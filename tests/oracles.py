@@ -98,3 +98,41 @@ def naive_subgroups(G: frozenset[RawPerm], degree: int) -> set[frozenset[RawPerm
                     nxt.append(J)
         frontier = nxt
     return set(found)
+
+
+def naive_isomorphic(G: frozenset[RawPerm], H: frozenset[RawPerm],
+                     degree_g: int, degree_h: int) -> dict[RawPerm, RawPerm] | None:
+    """An isomorphism G → H as an element table, or None (feasible only for tiny groups).
+
+    Tries every tuple of images of a generating sequence of G, each image of the
+    same element order as its generator, extends it along a breadth-first
+    spanning tree of G, and keeps the first table that is a bijective
+    homomorphism.
+    """
+    if len(G) != len(H):
+        return None
+    seq: list[RawPerm] = []
+    span = naive_closure([], degree_g)
+    for x in sorted(G):
+        if x not in span:
+            seq.append(x)
+            span = naive_closure(seq, degree_g)
+
+    def order(x: RawPerm, degree: int) -> int:
+        return len(naive_closure([x], degree))
+
+    choices = [[y for y in sorted(H) if order(y, degree_h) == order(x, degree_g)]
+               for x in seq]
+    ident_g, ident_h = tuple(range(degree_g)), tuple(range(degree_h))
+    for images in product(*choices):
+        table = {ident_g: ident_h}
+        queue = [ident_g]
+        for x in queue:
+            for s, t in zip(seq, images):
+                y = compose(s, x)
+                if y not in table:
+                    table[y] = compose(t, table[x])
+                    queue.append(y)
+        if len(set(table.values())) == len(H) and naive_is_homomorphism(table):
+            return table
+    return None

@@ -1,5 +1,7 @@
 """Tests for the class calculus: grammar, membership, duals, audits."""
+import gc
 import re
+import weakref
 from pathlib import Path
 
 import pytest
@@ -528,3 +530,20 @@ def test_memo_shared_across_realizations(ev):
     assert ev.member(fnr, other)
     assert len(ev._memo) == size_before
     assert ev.canon_id(other) == ev.canon_id(natural)
+
+
+def test_evaluator_does_not_keep_groups_alive(ev):
+    # The first S4 becomes the registry's representative of its type; a second
+    # parse is evaluated through its quotients, then dropped by the caller.
+    ev.member(Solvable(), parse_group_spec("S4"))
+    dual_abelian = Dual(Abelian())
+    G = parse_group_spec("S4")
+    answer = ev.member(dual_abelian, G)
+    gid = ev.canon_id(G)
+    ref = weakref.ref(G)
+    del G
+    gc.collect()
+    assert ref() is None
+    again = parse_group_spec("S4")
+    assert ev.member(dual_abelian, again) == answer
+    assert ev.canon_id(again) == gid

@@ -1,10 +1,13 @@
 """Structural analysis: classes, lattices, radicals, quotients, isomorphism."""
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from classlab.errors import FalsificationAlarm, InvalidInput, SubgroupLimitExceeded
-from classlab.perm import GroupHom, Permutation, coset_action, generate
+from classlab.perm import GroupHom, Permutation, coset_action, generate, regular_representation
 from classlab.structure import (
     IsoCertificate,
     baer_radical,
@@ -300,6 +303,75 @@ class TestIsomorphism:
         assert fingerprint(D8()) != fingerprint(Q8())
         c8 = generate(["(1 2 3 4 5 6 7 8)"], 8)
         assert fingerprint(c8) != fingerprint(D8())
+
+    def test_fingerprint_equal_groups_not_isomorphic(self):
+        # C4 ⋊ C4 and Q8 × C2 share every fingerprint invariant, so the search
+        # must run to exhaustion in both directions.
+        G = parse_group_spec("perm8[(1 2 3 4);(2 4)(5 6 7 8)]")
+        H = parse_group_spec("perm10[(1 2 3 4)(5 6 7 8);(1 5 3 7)(2 8 4 6);(9 10)]")
+        assert G.order() == H.order() == 16
+        assert fingerprint(G) == fingerprint(H)
+        assert isomorphic(G, H) is None and isomorphic(H, G) is None
+        assert oracles.naive_isomorphic(G.element_set(), H.element_set(),
+                                        G.degree, H.degree) is None
+
+    SMALL_GENS = st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.lists(st.permutations(list(range(n))).map(tuple),
+                           min_size=1, max_size=3))
+
+    @given(SMALL_GENS, st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_naive_oracle_on_generated_groups(self, gens_g, data):
+        n = len(gens_g[0])
+        G = generate(gens_g, n)
+        if data.draw(st.booleans(), label="relabel"):
+            # the same group on relabelled points, under other generators
+            sigma = data.draw(st.permutations(list(range(n))), label="sigma")
+            moved = [oracles.compose(sigma, oracles.compose(g, oracles.inverse(sigma)))
+                     for g in gens_g]
+            product = moved[0]
+            for g in moved[1:]:
+                product = oracles.compose(g, product)
+            H = generate(moved[::-1] + [product], n)
+        else:
+            gens_h = data.draw(self.SMALL_GENS, label="gens_h")
+            H = generate(gens_h, len(gens_h[0]))
+        cert = isomorphic(G, H)
+        brute = oracles.naive_isomorphic(G.element_set(), H.element_set(),
+                                         G.degree, H.degree)
+        assert (cert is None) == (brute is None)
+        if cert is not None:
+            assert cert.verify()
+
+    # sha256 of the certificate's generator images: the first certificate in the
+    # fixed candidate order is part of the output (`realize --json` prints it).
+    PINNED_CERTIFICATES = {
+        "A6": "c2d691e343624d40a0ac94da196eef8a38fc38da237d320f2b6ceb8181ad6b80",
+        "A7": "3bc7eb969f3254bcf0bdd2a259a893e3c0db4de8df97944a27ad1e808fd55e66",
+        "S7": "5712833295b5b0618ecaa6bfaec77fa2719a72b50fdc06a9279e32eade9f7bda",
+        "A5": "cf12bf3813e4c156ecdad2f3af1c2a57d85ae7941d19c81ac3404c3b31763b3b",
+        "SL25": "9f9a3f9de08c122bcd213f4aca6c13f1fdcf7e8f6bf63eea54e1138d22ca819f",
+        "S5": "18f082c8ae021c202a52618bff7879416d9b705c675ad1afeefa2085e0b0beef",
+        "A5-regular": "67b383ecc77f66dac4067f09db5aa4022a7232f8149249196bf68188ca55a566",
+    }
+
+    @staticmethod
+    def certificate_digest(G, H):
+        cert = isomorphic(G, H)
+        assert cert is not None and cert.verify()
+        images = [str(p) for p in cert.forward.gen_images]
+        return hashlib.sha256(json.dumps(images).encode()).hexdigest()
+
+    @pytest.mark.parametrize("spec", ["A6", "A7", "S7", "A5", "SL25", "S5"])
+    def test_pinned_certificate_between_two_parses(self, spec):
+        digest = self.certificate_digest(parse_group_spec(spec), parse_group_spec(spec))
+        assert digest == self.PINNED_CERTIFICATES[spec]
+
+    def test_pinned_certificate_onto_regular_image(self):
+        G = parse_group_spec("A5")
+        regular = regular_representation(G).image()
+        assert regular.degree == 60
+        assert self.certificate_digest(G, regular) == self.PINNED_CERTIFICATES["A5-regular"]
 
 
 class TestSubgroups:
