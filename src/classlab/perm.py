@@ -401,9 +401,6 @@ class PermGroup:
     def identity(self) -> Permutation:
         return Permutation.identity(self.degree)
 
-    def is_trivial(self) -> bool:
-        return self.order() == 1
-
     def contains(self, p) -> bool:
         q = self._coerce(p)
         if q.degree != self.degree:
@@ -491,13 +488,20 @@ def group_from_elements(degree: int, raws: Iterable[RawPerm]) -> PermGroup:
     return group
 
 
+def _pointwise_stabilizer(degree: int, gens: Iterable[RawPerm],
+                          points: Sequence[int]) -> list[RawPerm]:
+    """Strong generators of the subgroup of ⟨gens⟩ fixing each of points, read
+    from a chain whose base starts with those points."""
+    chain = StabChain(degree, gens, base_hint=points)
+    k = len(points)
+    return chain.levels[k].gens if len(chain.levels) > k else []
+
+
 def point_stabilizer(G: PermGroup, point: int) -> PermGroup:
     """The stabilizer of a point, from a chain based at that point."""
     if not 0 <= point < G.degree:
         raise InvalidInput(f"point {point} outside 0..{G.degree - 1}")
-    chain = StabChain(G.degree, G.raw_gens(), base_hint=[point])
-    gens = chain.levels[1].gens if len(chain.levels) > 1 else []
-    return PermGroup(G.degree, gens)
+    return PermGroup(G.degree, _pointwise_stabilizer(G.degree, G.raw_gens(), [point]))
 
 
 # ---------------------------------------------------------------------------
@@ -507,9 +511,13 @@ def point_stabilizer(G: PermGroup, point: int) -> PermGroup:
 class GroupHom:
     """A homomorphism between permutation groups, defined on the source generators.
 
-    An optional pointwise callable computes images directly; otherwise images
-    are resolved through a breadth-first multiplication table over the source
-    (which therefore must be enumerable).
+    An optional pointwise callable computes images directly.  Everything else
+    reads the graph subgroup Δ = ⟨(g, θ(g))⟩ on the source points followed by
+    the target points, with a chain based first at the source's base: the
+    generator images extend to a homomorphism exactly when |Δ| = |source|,
+    the kernel is the pointwise stabilizer of the target points, and θ(x) is
+    the target part of the residue of (x⁻¹, 1).  No element of the source is
+    listed, so the source need not be enumerable.
     """
 
     def __init__(self, source: PermGroup, target: PermGroup,
@@ -527,58 +535,66 @@ class GroupHom:
         self._map_fn = map_fn
         self._kernel = kernel
         self._image: PermGroup | None = None
-        self._table: dict[RawPerm, RawPerm] | None = None
+        self._delta: StabChain | None = None
 
-    def apply_raw(self, raw: RawPerm, caps: Caps | None = None) -> RawPerm:
-        if len(raw) != self.source.degree:
+    def _graph_gens(self) -> list[RawPerm]:
+        d = self.source.degree
+        return [g + tuple(d + x for x in t.images)
+                for g, t in zip(self.source.raw_gens(), self.gen_images)]
+
+    def _graph(self) -> StabChain:
+        if self._delta is None:
+            self._delta = StabChain(self.source.degree + self.target.degree,
+                                    self._graph_gens(),
+                                    base_hint=self.source.chain().base())
+        return self._delta
+
+    def _hom_graph(self) -> StabChain:
+        if not self.is_multiplicative():
+            raise InvalidInput("generator images do not define a homomorphism")
+        return self._graph()
+
+    def apply_raw(self, raw: RawPerm) -> RawPerm:
+        d = self.source.degree
+        if len(raw) != d:
             raise DegreeMismatch(
-                f"argument degree {len(raw)} differs from source degree "
-                f"{self.source.degree}")
+                f"argument degree {len(raw)} differs from source degree {d}")
         if self._map_fn is not None:
             return self._map_fn(raw)
-        table = self._word_table(caps)
-        try:
-            return table[raw]
-        except KeyError:
-            raise InvalidInput("element is not in the homomorphism's source") from None
+        delta = self._hom_graph()
+        residue, _ = delta.strip(_inverse(raw) + tuple(range(d, delta.degree)))
+        if residue[:d] != _identity(d):
+            raise InvalidInput("element is not in the homomorphism's source")
+        return tuple(x - d for x in residue[d:])
 
-    def apply(self, p: Permutation, caps: Caps | None = None) -> Permutation:
-        return Permutation(self.apply_raw(p.images, caps))
-
-    def _word_table(self, caps: Caps | None = None) -> dict[RawPerm, RawPerm]:
-        if self._table is None:
-            table = induced_map(self.source.raw_gens(),
-                                [g.images for g in self.gen_images],
-                                self.source.degree, self.target.degree,
-                                effective_caps(caps).enum_cap)
-            if table is None:
-                raise InvalidInput("generator images do not define a homomorphism")
-            self._table = table
-        return self._table
+    def apply(self, p: Permutation) -> Permutation:
+        return Permutation(self.apply_raw(p.images))
 
     def image(self) -> PermGroup:
         if self._image is None:
             self._image = PermGroup(self.target.degree, self.gen_images)
         return self._image
 
-    def kernel(self, caps: Caps | None = None) -> PermGroup:
+    def kernel(self) -> PermGroup:
         if self._kernel is None:
-            ident = _identity(self.target.degree)
-            members = [raw for raw in self.source.raw_elements(caps)
-                       if self.apply_raw(raw, caps) == ident]
-            self._kernel = group_from_elements(self.source.degree, members)
+            delta = self._hom_graph()
+            d = self.source.degree
+            gens = _pointwise_stabilizer(delta.degree, self._graph_gens(),
+                                         range(d, delta.degree))
+            self._kernel = PermGroup(d, [g[:d] for g in gens])
         return self._kernel
 
-    def is_multiplicative(self, caps: Caps | None = None) -> bool:
-        """Full pairwise check f(xy) = f(x)f(y) over the source."""
-        elems = self.source.raw_elements(caps)
-        images = {raw: self.apply_raw(raw, caps) for raw in elems}
-        for x in elems:
-            fx = images[x]
-            for y in elems:
-                if images[_compose(x, y)] != _compose(fx, images[y]):
-                    return False
-        return True
+    def is_multiplicative(self) -> bool:
+        """True iff the generator images extend to a homomorphism: |Δ| = |source|."""
+        return self._graph().order() == self.source.order()
+
+    def is_isomorphism_onto(self, K: PermGroup) -> bool:
+        """True iff the generator images lie in K, extend to a homomorphism and
+        generate K, and the source has K's order."""
+        return (self.source.order() == K.order()
+                and all(K.contains_raw(img.images) for img in self.gen_images)
+                and self.is_multiplicative()
+                and self.image().order() == K.order())
 
 
 def identity_hom(G: PermGroup) -> GroupHom:

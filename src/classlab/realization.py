@@ -30,7 +30,6 @@ from .perm import (
     direct_power,
     group_from_elements,
     identity_hom,
-    induced_map,
     point_stabilizer,
     regular_representation,
     wreath_by_cosets,
@@ -214,10 +213,10 @@ def build_realization(G: PermGroup, G0: PermGroup, Gn: PermGroup,
         raise InvalidInput("embedding source does not match the target group")
     if embed.target is not Gn and not embed.target.same_group(Gn):
         raise InvalidInput("embedding target does not match the top group")
-    if embed.kernel(caps).order() != 1:
+    if embed.kernel().order() != 1:
         raise InvalidInput("embedding is not injective")
     if G.order() * G.order() <= caps.enum_cap:
-        if not embed.is_multiplicative(caps):
+        if not embed.is_multiplicative():
             raise InvalidInput("embedding is not a homomorphism")
         checks["embedding_multiplicative"] = "passed"
     else:
@@ -432,7 +431,7 @@ def split_check(G: PermGroup, N: PermGroup,
 # Twisted diagonals and factor permutations in direct powers
 
 
-def conjugation_automorphism(G: PermGroup, s, caps: Caps | None = None) -> GroupHom:
+def conjugation_automorphism(G: PermGroup, s) -> GroupHom:
     """The automorphism x ↦ sxs⁻¹ of G, for s normalizing G (s need not lie in G)."""
     raw = s.images if isinstance(s, Permutation) else (
         s if isinstance(s, tuple) else Permutation.from_cycles(s, G.degree).images)
@@ -454,15 +453,13 @@ class DiagonalSubgroup:
     support: tuple[int, ...]
 
 
-def diagonal_subgroup(G0: PermGroup, n: int, phis: list,
-                      caps: Caps | None = None) -> DiagonalSubgroup:
+def diagonal_subgroup(G0: PermGroup, n: int, phis: list) -> DiagonalSubgroup:
     """The subgroup {(φ1(x),…,φn(x)) : x ∈ G0} of G0^n.
 
     Each φ is None (coordinate held at the identity), a homomorphism G0 → G0,
     or a list of generator images; every present φ must be a verified
     automorphism, and at least one must be present.
     """
-    caps = effective_caps(caps)
     if len(phis) != n:
         raise InvalidInput(f"expected {n} twist entries, got {len(phis)}")
     homs: list[GroupHom | None] = []
@@ -479,7 +476,7 @@ def diagonal_subgroup(G0: PermGroup, n: int, phis: list,
             hom = GroupHom(G0, G0, images)
         if len(hom.gen_images) != len(G0.generators):
             raise InvalidInput("twist must map the ambient factor's generators")
-        if not _is_automorphism(G0, hom, caps):
+        if not _is_automorphism(G0, hom):
             raise InvalidInput("twist entry is not an automorphism")
         homs.append(hom)
     support = tuple(i for i, hom in enumerate(homs) if hom is not None)
@@ -492,7 +489,7 @@ def diagonal_subgroup(G0: PermGroup, n: int, phis: list,
     for g in G0.raw_gens():
         word = _identity(ambient.degree)
         for i in support:
-            piece = embeddings[i].apply_raw(homs[i].apply_raw(g, caps))
+            piece = embeddings[i].apply_raw(homs[i].apply_raw(g))
             word = _compose(word, piece)
         gens.append(Permutation(word))
     S = PermGroup(ambient.degree, gens)
@@ -503,15 +500,8 @@ def diagonal_subgroup(G0: PermGroup, n: int, phis: list,
     return DiagonalSubgroup(group=S, ambient=ambient, support=support)
 
 
-def _is_automorphism(G: PermGroup, hom: GroupHom, caps: Caps) -> bool:
-    images = [p.images for p in hom.gen_images]
-    if any(not G.contains_raw(img) for img in images):
-        return False
-    if PermGroup(G.degree, hom.gen_images).order() != G.order():
-        return False
-    table = induced_map(G.raw_gens(), images, G.degree, G.degree,
-                        limit=G.order() + 1)
-    return table is not None
+def _is_automorphism(G: PermGroup, hom: GroupHom) -> bool:
+    return hom.source.same_group(G) and hom.is_isomorphism_onto(G)
 
 
 def block_swap_automorphism(G0: PermGroup, n: int, i: int, j: int) -> GroupHom:
@@ -527,20 +517,18 @@ def block_swap_automorphism(G0: PermGroup, n: int, i: int, j: int) -> GroupHom:
 
 
 def coordinatewise_automorphism(G0: PermGroup, n: int,
-                                alphas: list[GroupHom],
-                                caps: Caps | None = None) -> GroupHom:
+                                alphas: list[GroupHom]) -> GroupHom:
     """The automorphism (x1,…,xn) ↦ (α1(x1),…,αn(xn)) of G0^n."""
-    caps = effective_caps(caps)
     if len(alphas) != n:
         raise InvalidInput(f"expected {n} coordinate automorphisms")
     for alpha in alphas:
-        if not _is_automorphism(G0, alpha, caps):
+        if not _is_automorphism(G0, alpha):
             raise InvalidInput("coordinate entry is not an automorphism")
     D = direct_power(G0, n)
     d = G0.degree
 
     def fn(raw: RawPerm) -> RawPerm:
-        return _place_blocks(D.degree, [(i, alpha.apply_raw(_restrict(raw, i * d, d), caps))
+        return _place_blocks(D.degree, [(i, alpha.apply_raw(_restrict(raw, i * d, d)))
                                         for i, alpha in enumerate(alphas)])
 
     gen_images = [Permutation(fn(g)) for g in D.raw_gens()]
@@ -575,7 +563,7 @@ def factor_permutation_check(G0: PermGroup, n: int, theta: GroupHom,
         raise InvalidInput("theta does not act on the direct power")
     if not _is_automorphism(D, GroupHom(D, D, [Permutation(theta.apply_raw(g))
                                                for g in D.raw_gens()],
-                                        map_fn=theta.apply_raw), caps):
+                                        map_fn=theta.apply_raw)):
         raise InvalidInput("theta is not an automorphism of the direct power")
 
     d = G0.degree

@@ -192,7 +192,7 @@ def _chk_perm_wreath_kernel_top(ctx: SuiteContext):
     bad = []
     for label, g0, gn, gsub in cases:
         W = wreath_by_cosets(g0, gn, gsub, ctx.caps)
-        ker = W.top.kernel(ctx.caps)
+        ker = W.top.kernel()
         power = direct_power(g0, W.n_coords)
         cut = g0.degree * W.n_coords
         head_set = set()
@@ -230,7 +230,7 @@ def _chk_perm_coset_kernel_core(ctx: SuiteContext):
     bad = []
     for label, G, S in cases:
         hom = coset_action(G, S, ctx.caps)
-        kernel_set = set(hom.kernel(ctx.caps).raw_elements(ctx.caps))
+        kernel_set = set(hom.kernel().raw_elements(ctx.caps))
         s_elems = S.raw_elements(ctx.caps)
         core = set(s_elems)
         for g in G.raw_elements(ctx.caps):
@@ -259,7 +259,7 @@ def _chk_perm_hom_multiplicative(ctx: SuiteContext):
     bad = []
     for label, h in homs:
         elems = h.source.raw_elements(ctx.caps)
-        images = {x: h.apply_raw(x, ctx.caps) for x in elems}
+        images = {x: h.apply_raw(x) for x in elems}
         for x in elems:
             fx = images[x]
             for y in elems:
@@ -837,7 +837,7 @@ def _chk_realization_certificates(ctx: SuiteContext):
                         "normalizer_order": cert.normalizer.order(),
                         "h_order": cert.h.order(),
                         "target_order": cert.target.order()})
-        if cert.iso is None or not cert.iso.verify(ctx.caps):
+        if cert.iso is None or not cert.iso.verify():
             bad.append({"target": name, "problem": "quotient isomorphism failed"})
     return {"violations": bad} if bad else None
 
@@ -928,10 +928,10 @@ def _chk_diagonal_converse_sampled(ctx: SuiteContext):
     elems = sorted(a5.raw_elements(ctx.caps))
     rnd = random.Random(20260823)
     twists = [
-        conjugation_automorphism(a5, "()", ctx.caps),
-        conjugation_automorphism(a5, "(1 2)", ctx.caps),
-        conjugation_automorphism(a5, "(4 5)", ctx.caps),
-        conjugation_automorphism(a5, "(1 2 3)", ctx.caps),
+        conjugation_automorphism(a5, "()"),
+        conjugation_automorphism(a5, "(1 2)"),
+        conjugation_automorphism(a5, "(4 5)"),
+        conjugation_automorphism(a5, "(1 2 3)"),
     ]
 
     def pair_raw(a, b):
@@ -940,7 +940,7 @@ def _chk_diagonal_converse_sampled(ctx: SuiteContext):
     identity_twist = twists[0]
     candidates = []
     for phi in twists:
-        diag = diagonal_subgroup(a5, 2, [identity_twist, phi], ctx.caps)
+        diag = diagonal_subgroup(a5, 2, [identity_twist, phi])
         gens = diag.group.raw_gens()
         candidates.append((gens[0], gens[1]))
     for phi in twists[1:]:
@@ -993,10 +993,10 @@ def _chk_diagonal_converse_sampled(ctx: SuiteContext):
 def _chk_factor_permutation_samples(ctx: SuiteContext):
     """Automorphisms of A5-powers permute the coordinate factors as blocks."""
     a5 = alternating(5)
-    conj = conjugation_automorphism(a5, "(1 2)", ctx.caps)
-    ident = conjugation_automorphism(a5, "()", ctx.caps)
+    conj = conjugation_automorphism(a5, "(1 2)")
+    ident = conjugation_automorphism(a5, "()")
     swap = block_swap_automorphism(a5, 2, 0, 1)
-    coordwise = coordinatewise_automorphism(a5, 2, [conj, ident], ctx.caps)
+    coordwise = coordinatewise_automorphism(a5, 2, [conj, ident])
     composed = compose_automorphisms(coordwise, swap)
     three_swap = block_swap_automorphism(a5, 3, 0, 2)
     cases = [

@@ -75,6 +75,22 @@ def naive_is_homomorphism(table: dict[RawPerm, RawPerm]) -> bool:
     return True
 
 
+def naive_hom_table(src_gens: list[RawPerm], img_gens: list[RawPerm],
+                    degree_s: int, degree_t: int) -> dict[RawPerm, RawPerm]:
+    """The element table forced by gen ↦ image along a breadth-first spanning
+    tree of ⟨src_gens⟩; it is a homomorphism iff the images extend to one."""
+    ident_s, ident_t = tuple(range(degree_s)), tuple(range(degree_t))
+    table = {ident_s: ident_t}
+    queue = [ident_s]
+    for x in queue:
+        for s, t in zip(src_gens, img_gens):
+            y = compose(s, x)
+            if y not in table:
+                table[y] = compose(t, table[x])
+                queue.append(y)
+    return table
+
+
 def all_perms(degree: int) -> list[RawPerm]:
     from itertools import permutations
 
@@ -123,16 +139,8 @@ def naive_isomorphic(G: frozenset[RawPerm], H: frozenset[RawPerm],
 
     choices = [[y for y in sorted(H) if order(y, degree_h) == order(x, degree_g)]
                for x in seq]
-    ident_g, ident_h = tuple(range(degree_g)), tuple(range(degree_h))
     for images in product(*choices):
-        table = {ident_g: ident_h}
-        queue = [ident_g]
-        for x in queue:
-            for s, t in zip(seq, images):
-                y = compose(s, x)
-                if y not in table:
-                    table[y] = compose(t, table[x])
-                    queue.append(y)
+        table = naive_hom_table(seq, list(images), degree_g, degree_h)
         if len(set(table.values())) == len(H) and naive_is_homomorphism(table):
             return table
     return None

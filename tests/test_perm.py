@@ -1,5 +1,6 @@
 """Permutation arithmetic, stabilizer chains, and product constructions."""
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -49,6 +50,34 @@ def group_with_subgroup(draw):
     s_gens = draw(st.lists(st.sampled_from(elems), max_size=2))
     point = draw(st.integers(min_value=0, max_value=degree - 1))
     return degree, g_gens, s_gens, point
+
+
+@st.composite
+def generator_images(draw):
+    """(source group, target degree, generator images): uniformly random images,
+    or those of the sign map, of a relabelled inclusion, or of the trivial map."""
+    rnd = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+
+    def shuffled(n: int) -> tuple[int, ...]:
+        points = list(range(n))
+        rnd.shuffle(points)
+        return tuple(points)
+
+    degree, target = rnd.randint(2, 5), rnd.randint(1, 4)
+    G = generate([shuffled(degree) for _ in range(rnd.randint(1, 3))], degree)
+    kind = rnd.choice(["random", "random", "sign", "inclusion", "trivial"])
+    ident = tuple(range(target))
+    if kind == "random":
+        images = [shuffled(target) for _ in G.generators]
+    elif kind == "sign":
+        flip = (1, 0) + ident[2:] if target > 1 else ident
+        images = [flip if g.parity() else ident for g in G.generators]
+    elif kind == "inclusion" and degree <= target:
+        pi = shuffled(target)
+        images = [_conjugate(pi, g.images + ident[degree:]) for g in G.generators]
+    else:
+        images = [ident for _ in G.generators]
+    return G, target, images
 
 
 def same_degree_triples():
@@ -284,6 +313,22 @@ class TestHomomorphisms:
         assert sign.is_multiplicative()
         assert sign.image().order() == 2
 
+    @settings(max_examples=80, deadline=None)
+    @given(generator_images())
+    def test_graph_subgroup_matches_brute_force(self, case):
+        G, target, images = case
+        h = GroupHom(G, generate(images, target), [Permutation(t) for t in images])
+        table = oracles.naive_hom_table(G.raw_gens(), images, G.degree, target)
+        is_hom = oracles.naive_is_homomorphism(table)
+        assert h.is_multiplicative() == is_hom
+        if not is_hom:
+            with pytest.raises(InvalidInput):
+                h.apply_raw(G.identity().images)
+            return
+        assert all(h.apply_raw(x) == fx for x, fx in table.items())
+        ident = tuple(range(target))
+        assert h.kernel().element_set() == {x for x, fx in table.items() if fx == ident}
+
     def test_apply_outside_source_rejected(self):
         A3 = generate(["(1 2 3)"], 3)
         h = GroupHom(A3, A3, A3.generators)
@@ -335,6 +380,7 @@ class TestCosetAction:
         act = coset_action(S4, S3)
         assert act.target.degree == 4
         assert act.is_multiplicative()
+        assert oracles.naive_is_homomorphism({x: act.apply_raw(x) for x in S4.raw_elements()})
 
     def test_whole_group_gives_single_point(self):
         S3 = generate(["(1 2)", "(1 2 3)"], 3)
@@ -437,6 +483,7 @@ class TestRegularRepresentation:
         assert reg.image().order() == 6
         assert reg.kernel().order() == 1
         assert reg.is_multiplicative()
+        assert oracles.naive_is_homomorphism({x: reg.apply_raw(x) for x in S3.raw_elements()})
 
 
 class TestWreathByCosets:

@@ -33,6 +33,8 @@ from classlab.realization import (
 from classlab.structure import is_simple, isomorphic
 from classlab.universe import alternating, cyclic, quaternion, symmetric
 
+import oracles
+
 
 def psl_168():
     """The simple group of order 168 in its natural degree-7 action."""
@@ -418,6 +420,8 @@ def test_embedding_into_finds_subgroup():
     emb = embedding_into(cyclic(3), symmetric(4))
     assert emb.kernel().order() == 1
     assert emb.is_multiplicative()
+    assert oracles.naive_is_homomorphism(
+        {x: emb.apply_raw(x) for x in emb.source.raw_elements()})
 
 
 def test_embedding_into_no_candidate():

@@ -248,6 +248,8 @@ class TestQuotient:
     def test_projection_is_multiplicative(self):
         _, proj = quotient(S4(), V4())
         assert proj.is_multiplicative()
+        assert oracles.naive_is_homomorphism(
+            {x: proj.apply_raw(x) for x in proj.source.raw_elements()})
 
 
 class TestIsomorphism:
@@ -298,6 +300,12 @@ class TestIsomorphism:
                       Permutation.from_cycles("(1 2)", 3)]
         bad = IsoCertificate(GroupHom(G, G, bad_images), (None, None))
         assert not bad.verify()
+
+    def test_verify_rejects_images_outside_target(self):
+        # ⟨(2 3)⟩ has the target's order, but (2 3) is not in ⟨(1 2)⟩.
+        stray = IsoCertificate(GroupHom(generate(["(1 2)"], 2), generate(["(1 2)"], 3),
+                                        [Permutation.from_cycles("(2 3)", 3)]), (None, None))
+        assert not stray.verify()
 
     def test_fingerprints_separate_order_eight_groups(self):
         assert fingerprint(D8()) != fingerprint(Q8())
