@@ -205,6 +205,12 @@ class StabChain:
     orbit of base point i under them, and the inverse transversal: u⁻¹ for
     each orbit point x, where u is the transversal element with u(point) = x.
     Sifting needs only the inverses; the u themselves are rebuilt on demand.
+    Each level's generators generate that level's whole stabilizer, because
+    later extends run Schreier-Sims on them.
+
+    A group generated on disjoint blocks has as its chain the block chains
+    concatenated, each shifted onto its block (`from_blocks`); a level of
+    block b then also carries the generators of every later block.
     """
 
     def __init__(self, degree: int, gens: Iterable[RawPerm] = (), base_hint: Sequence[int] = ()):
@@ -213,6 +219,33 @@ class StabChain:
         self.levels: list[_Level] = [_Level(p, self._ident) for p in base_hint]
         for g in gens:
             self.extend(g)
+
+    @classmethod
+    def from_blocks(cls, degree: int, pieces: Sequence[tuple[int, "StabChain"]]) -> "StabChain":
+        """The chain of the group generated by each block chain's group acting
+        on its block, for (block index, block chain) pairs; block i is the
+        points i·d … i·d+d−1, d the block chain's degree, and the base runs
+        through the pieces in order.
+
+        No Schreier generator is sifted.  Every level is left unchecked, so a
+        later extend rescans it in full.
+        """
+        chain = cls(degree)
+        later: list[RawPerm] = []
+        for b, block in reversed(pieces):
+            off = b * block.degree
+            levels = []
+            for lv in block.levels:
+                nlv = _Level(off + lv.point, chain._ident)
+                nlv.gens = [_place_blocks(degree, [(b, g)]) for g in lv.gens] + later
+                nlv.inverses = {off + x: _place_blocks(degree, [(b, u)])
+                                for x, u in lv.inverses.items()}
+                nlv.checked = None
+                levels.append(nlv)
+            if levels:
+                later = levels[0].gens
+            chain.levels[:0] = levels
+        return chain
 
     # -- queries ---------------------------------------------------------
 
@@ -243,20 +276,11 @@ class StabChain:
 
     def iter_elements(self) -> Iterator[RawPerm]:
         """All elements, deterministically, as products of transversal members."""
-        if not self.levels:
-            yield self._ident
-            return
-        transversals = [[_inverse(lv.inverses[x]) for x in sorted(lv.inverses)]
-                        for lv in self.levels]
-
-        def rec(i: int, acc: RawPerm) -> Iterator[RawPerm]:
-            if i == len(transversals):
-                yield acc
-                return
-            for u in transversals[i]:
-                yield from rec(i + 1, _compose(acc, u))
-
-        yield from rec(0, self._ident)
+        elements = [self._ident]
+        for lv in self.levels:
+            transversal = [_inverse(lv.inverses[x]) for x in sorted(lv.inverses)]
+            elements = [_compose(acc, u) for acc in elements for u in transversal]
+        yield from elements
 
     def copy(self) -> "StabChain":
         other = StabChain(self.degree)
@@ -656,6 +680,7 @@ def direct_power(G0: PermGroup, n: int) -> PermGroup:
     degree = n * G0.degree
     P = PermGroup(degree, [_place_blocks(degree, [(i, g)])
                            for i in range(n) for g in G0.raw_gens()])
+    P._chain = StabChain.from_blocks(degree, [(i, G0.chain()) for i in range(n)])
     P.coordinate_embeddings = [_block_embedding(G0, P, i) for i in range(n)]
     return P
 
@@ -714,8 +739,7 @@ def _coset_index(G: PermGroup, S: PermGroup
     return reps, rep_inverses, index_of_inverse
 
 
-def coset_action(G: PermGroup, S: PermGroup, caps: Caps | None = None,
-                 kernel: PermGroup | None = None) -> GroupHom:
+def coset_action(G: PermGroup, S: PermGroup, kernel: PermGroup | None = None) -> GroupHom:
     """The left-translation action of G on the left cosets of S.
 
     Returns the homomorphism onto its image; coset representatives are
@@ -790,14 +814,15 @@ def wreath_by_cosets(G0: PermGroup, Gn: PermGroup, G_sub: PermGroup,
     cap = effective_caps(caps).coord_cap
     if n > cap:
         raise CapExceeded(f"coordinate count {n} exceeds coordinate cap {cap}")
-    cos = coset_action(Gn, G_sub, caps)
+    cos = coset_action(Gn, G_sub)
     d0, dn = G0.degree, Gn.degree
     degree = n * d0 + dn
 
     base_gens = [_place_blocks(degree, [(i, g)]) for i in range(n) for g in G0.raw_gens()]
     base = PermGroup(degree, base_gens)
+    base._chain = StabChain.from_blocks(degree, [(i, G0.chain()) for i in range(n)])
     top_lifts = [_lift_blocks(cos.apply_raw(g), d0, g) for g in Gn.raw_gens()]
-    group = PermGroup(degree, base_gens + top_lifts)
+    group = base.extended(top_lifts)
 
     def top_fn(raw: RawPerm) -> RawPerm:
         return _restrict(raw, n * d0, dn)

@@ -21,6 +21,7 @@ from .perm import (
     PermGroup,
     Permutation,
     RawPerm,
+    StabChain,
     _compose,
     _conjugate,
     _identity,
@@ -140,7 +141,7 @@ def maximal_selfnormalizing(G0: PermGroup, caps: Caps | None = None) -> PermGrou
         H0 = min(maximal, key=lambda S: (-S.order(), S.raw_gens()))
         from .perm import coset_action
 
-        if not is_primitive(coset_action(G0, H0, caps).image()):
+        if not is_primitive(coset_action(G0, H0).image()):
             raise FalsificationAlarm(
                 "coset action of a lattice-maximal subgroup has nontrivial blocks",
                 witness={"g0_order": G0.order(), "h0_order": H0.order()})
@@ -239,6 +240,8 @@ def build_realization(G: PermGroup, G0: PermGroup, Gn: PermGroup,
         emb = wp.coordinate_embedding(i)
         h_gens.extend(emb.apply_raw(g) for g in G0.raw_gens())
     H = PermGroup(Gamma.degree, [Permutation(g) for g in h_gens])
+    H._chain = StabChain.from_blocks(
+        Gamma.degree, [(0, H0.chain())] + [(i, G0.chain()) for i in range(1, N)])
     if H.order() != H0.order() * G0.order() ** (N - 1):
         raise FalsificationAlarm(
             "order arithmetic for H failed",
@@ -246,7 +249,7 @@ def build_realization(G: PermGroup, G0: PermGroup, Gn: PermGroup,
                      "g0_order": G0.order(), "n": N})
 
     lift_gens = [wp.top_lift(embed.apply(g)) for g in G.generators]
-    M = PermGroup(Gamma.degree, list(H.generators) + lift_gens)
+    M = H.extended(lift_gens)
     if M.order() != H.order() * G.order():
         raise FalsificationAlarm(
             "structural normalizer has the wrong order",

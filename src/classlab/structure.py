@@ -353,7 +353,7 @@ def quotient(G: PermGroup, N: PermGroup,
         hom = GroupHom(G, Q, [Permutation((0,)) for _ in G.generators],
                        map_fn=lambda raw: (0,), kernel=G)
         return Q, hom
-    hom = coset_action(G, N, caps, kernel=N)
+    hom = coset_action(G, N, kernel=N)
     return hom.image(), hom
 
 

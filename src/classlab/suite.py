@@ -124,7 +124,7 @@ class SuiteContext:
         if self._iso_trios is None:
             a5 = alternating(5)
             d10 = generate(["(1 2 3 4 5)", "(2 5)(3 4)"], 5)
-            a5_deg6 = coset_action(a5, d10, self.caps).image()
+            a5_deg6 = coset_action(a5, d10).image()
             a5_reg = regular_representation(a5, self.caps).image()
             s3 = symmetric(3)
             s3_reg = regular_representation(s3, self.caps).image()
@@ -229,7 +229,7 @@ def _chk_perm_coset_kernel_core(ctx: SuiteContext):
     ]
     bad = []
     for label, G, S in cases:
-        hom = coset_action(G, S, ctx.caps)
+        hom = coset_action(G, S)
         kernel_set = set(hom.kernel().raw_elements(ctx.caps))
         s_elems = S.raw_elements(ctx.caps)
         core = set(s_elems)
@@ -251,7 +251,7 @@ def _chk_perm_hom_multiplicative(ctx: SuiteContext):
     _, proj = quotient(s4, v4, ctx.caps)
     homs = [
         ("sign-of-S4", GroupHom(s4, cyclic(2), sign_images)),
-        ("coset-S4-over-S3", coset_action(s4, point_stabilizer(s4, 3), ctx.caps)),
+        ("coset-S4-over-S3", coset_action(s4, point_stabilizer(s4, 3))),
         ("embed-C2-in-C4", GroupHom(cyclic(2), cyclic(4), [Permutation((2, 3, 0, 1))])),
         ("regular-S3", regular_representation(symmetric(3), ctx.caps)),
         ("project-S4-over-V4", proj),

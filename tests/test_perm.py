@@ -1,12 +1,12 @@
 """Permutation arithmetic, stabilizer chains, and product constructions."""
 import hashlib
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from classlab.config import Caps
 from classlab.errors import DegreeMismatch, InvalidInput, ParseError
 from classlab.perm import (
     GroupHom,
@@ -15,6 +15,7 @@ from classlab.perm import (
     _compose,
     _conjugate,
     _inverse,
+    _place_blocks,
     coset_action,
     direct_power,
     generate,
@@ -269,6 +270,97 @@ class TestStabChain:
         assert G.order() == len(oracles.naive_closure(padded, degree))
 
 
+@st.composite
+def block_product(draw):
+    """(degree, block size, generators per block): a group generated on
+    disjoint blocks, some of them possibly trivial, with fixed points after
+    the last block."""
+    d = draw(st.integers(min_value=1, max_value=4))
+    blocks = draw(st.integers(min_value=1, max_value=12 // d))
+    tail = draw(st.integers(min_value=0, max_value=12 - blocks * d))
+    perm = st.permutations(list(range(d))).map(tuple)
+    gens = draw(st.lists(st.lists(perm, max_size=2), min_size=blocks, max_size=blocks))
+    return blocks * d + tail, d, gens
+
+
+class TestBlockChains:
+    """Chains built by StabChain.from_blocks against Schreier-Sims from nothing."""
+
+    ENUM_LIMIT = 20_000
+
+    def _assert_matches_fresh(self, G):
+        chain = G.chain()
+        fresh = StabChain(G.degree, G.raw_gens())
+        assert chain.base() == fresh.base()
+        assert ([sorted(lv.inverses.items()) for lv in chain.levels]
+                == [sorted(lv.inverses.items()) for lv in fresh.levels])
+        if G.order() <= self.ENUM_LIMIT:
+            assert G.raw_elements() == tuple(fresh.iter_elements())
+        # Each level's generators generate that level's whole stabilizer.
+        for i, lv in enumerate(chain.levels):
+            below = math.prod(len(m.inverses) for m in chain.levels[i:])
+            assert StabChain(G.degree, lv.gens).order() == below
+
+    @pytest.mark.parametrize("spec", ["C2", "S3", "D8", "Q8", "A4", "A5", "SL23", "D14"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_direct_power_of_catalog_group(self, spec, n):
+        self._assert_matches_fresh(direct_power(parse_group_spec(spec), n))
+
+    def test_direct_power_of_random_groups(self):
+        rnd = random.Random(7)
+        for _ in range(100):
+            degree = rnd.randint(1, 6)
+            gens = [tuple(rnd.sample(range(degree), degree))
+                    for _ in range(rnd.randint(1, 3))]
+            self._assert_matches_fresh(direct_power(generate(gens, degree), rnd.randint(1, 4)))
+
+    # (G0, Gn, subgroup of Gn) as the suite's wreath checks build them.
+    WREATHS = {
+        "C2-wreath-C4-over-C2": ("C2", "C4", ["(1 3)(2 4)"]),
+        "A5-wreath-C4-over-C2": ("A5", "C4", ["(1 3)(2 4)"]),
+        "C2-wreath-S3-over-C2": ("C2", "S3", ["(1 2)"]),
+        "C3-times-C2": ("C3", "C2", ["(1 2)"]),
+        "A5-times-A5": ("A5", "A5", ["(1 2 3)", "(3 4 5)"]),
+        "A5-wreath-A5-over-A4": ("A5", "A5", ["(1 2 3)", "(1 2)(3 4)"]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(WREATHS))
+    def test_wreath_base_and_gamma(self, case):
+        g0, gn, sub = self.WREATHS[case]
+        Gn = parse_group_spec(gn)
+        W = wreath_by_cosets(parse_group_spec(g0), Gn, generate(sub, Gn.degree))
+        self._assert_matches_fresh(W.base)
+        self._assert_matches_fresh(W.group)
+
+    @pytest.mark.parametrize("target,top", [("C2", "C4"), ("C3", "C6"), ("C2", "S3")])
+    def test_realization_h_and_normalizer(self, target, top):
+        cert = realize(parse_group_spec(target), top=parse_group_spec(top),
+                       brute_check=False)
+        self._assert_matches_fresh(cert.h)
+        self._assert_matches_fresh(cert.normalizer)
+
+    @given(block_product(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_membership_agrees_with_fresh_chain(self, case, data):
+        degree, d, gens = case
+        pieces = [(b, StabChain(d, block_gens)) for b, block_gens in enumerate(gens)]
+        chain = StabChain.from_blocks(degree, pieces)
+        placed = [_place_blocks(degree, [(b, g)]) for b, block_gens in enumerate(gens)
+                  for g in block_gens]
+        fresh = StabChain(degree, placed)
+        assert chain.order() == fresh.order()
+        word = data.draw(st.lists(st.sampled_from(placed), max_size=6)) if placed else []
+        inside = tuple(range(degree))
+        for g in word:
+            inside = _compose(g, inside)
+        assert chain.contains(inside) and fresh.contains(inside)
+        for _ in range(5):
+            x = tuple(data.draw(st.permutations(list(range(degree)))))
+            assert chain.contains(x) == fresh.contains(x)
+            y = _compose(x, inside)
+            assert chain.contains(y) == fresh.contains(y)
+
+
 class TestPointStabilizer:
     def test_a5_stabilizer_is_a4(self):
         A5 = generate(["(1 2 3)", "(3 4 5)"], 5)
@@ -394,9 +486,8 @@ class TestCosetAction:
         with pytest.raises(InvalidInput):
             coset_action(A4, C2)
 
-    # (G generators, S generators, degree).  The coset key walks S's chain
-    # whatever the caps, so the Caps(enum_cap=1) ("scan") cases check that
-    # caps do not change the answer.
+    # (G generators, S generators, degree).  The index keyed through S's chain
+    # is compared with a brute-force scan of the cosets.
     CASES = {
         "S4/C2": (["(1 2)", "(1 2 3 4)"], ["(1 2)"], 4),
         "S4/V4": (["(1 2)", "(1 2 3 4)"], ["(1 2)(3 4)", "(1 3)(2 4)"], 4),
@@ -411,9 +502,6 @@ class TestCosetAction:
         g_gens, s_gens, degree = self.CASES[case]
         G, S = generate(g_gens, degree), generate(s_gens, degree)
         keyed = coset_action(G, S)
-        scan = coset_action(G, S, Caps(enum_cap=1))
-        assert scan.coset_reps == keyed.coset_reps
-        assert scan.gen_images == keyed.gen_images
 
         s_elems = oracles.naive_closure(S.raw_gens(), degree)
         g_elems = oracles.naive_closure(G.raw_gens(), degree)
@@ -427,20 +515,18 @@ class TestCosetAction:
             for j, r in enumerate(keyed.coset_reps):
                 assert oracles.compose(g, r.images) in cosets[image(j)]
 
-    @pytest.mark.parametrize("caps", [None, Caps(enum_cap=1)], ids=["keyed", "scan"])
-    def test_element_outside_group_raises(self, caps):
+    def test_element_outside_group_raises(self):
         A4 = generate(["(1 2 3)", "(1 2)(3 4)"], 4)
         V = generate(["(1 2)(3 4)", "(1 3)(2 4)"], 4)
-        act = coset_action(A4, V, caps)
+        act = coset_action(A4, V)
         with pytest.raises(InvalidInput):
             act.apply(Permutation.from_cycles("(1 2)", 4))
 
-    @pytest.mark.parametrize("caps", [None, Caps(enum_cap=1)], ids=["keyed", "scan"])
     @pytest.mark.parametrize("raw", [(1, 0, 2), (1, 0, 2, 3, 4)], ids=["short", "long"])
-    def test_wrong_degree_argument_raises(self, caps, raw):
+    def test_wrong_degree_argument_raises(self, raw):
         S4 = generate(["(1 2)", "(1 2 3 4)"], 4)
         V = generate(["(1 2)(3 4)", "(1 3)(2 4)"], 4)
-        act = coset_action(S4, V, caps)
+        act = coset_action(S4, V)
         with pytest.raises(DegreeMismatch):
             act.apply_raw(raw)
 
