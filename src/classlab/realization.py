@@ -4,11 +4,12 @@ Given a target group G, build Γ = G0^N ⋊ Gn (N the index of an embedded copy
 of G in Gn) together with H = H0 × G0^{N−1}, where H0 is a maximal
 self-normalizing subgroup of the simple non-abelian G0.  The normalizer
 N_Γ(H) is computed structurally as (H0 × G0^{N−1}) ⋊ G and, within caps,
-confirmed by brute force; the certificate carries a verified isomorphism
-N_Γ(H)/H ≅ G.  The module also hosts the supporting demonstrators: exhaustive
-realization search in a fixed ambient group, split-extension checks over a
-centerless normal subgroup, twisted-diagonal subgroups of direct powers, and
-the factor-permutation behaviour of automorphisms of G0^N.
+confirmed by brute force, one test per left coset of H in Γ; the certificate
+carries a verified isomorphism N_Γ(H)/H ≅ G.  The module also hosts the
+supporting demonstrators: exhaustive realization search in a fixed ambient
+group, split-extension checks over a centerless normal subgroup,
+twisted-diagonal subgroups of direct powers, and the factor-permutation
+behaviour of automorphisms of G0^N.
 """
 from __future__ import annotations
 
@@ -24,10 +25,12 @@ from .perm import (
     StabChain,
     _compose,
     _conjugate,
+    _coset_index,
     _identity,
     _lift_blocks,
     _place_blocks,
     _restrict,
+    coset_action,
     direct_power,
     group_from_elements,
     identity_hom,
@@ -101,11 +104,25 @@ def is_primitive(G: PermGroup) -> bool:
 
 def brute_normalizer(parent: PermGroup, H: PermGroup,
                      caps: Caps | None = None) -> PermGroup:
-    """N_parent(H) by scanning every element of the parent."""
+    """N_parent(H) for H ≤ parent, by one test per left coset of H.
+
+    If r·H·r⁻¹ = H then every element of rH normalizes H, and if r does not
+    then none does; so testing one representative of each coset decides every
+    element of the parent, which is never enumerated.  The result is the
+    group of the union of the normalizing cosets.  Raises InvalidInput unless
+    H ≤ parent, and CapExceeded when |parent| exceeds the enumeration cap.
+    """
+    cap = effective_caps(caps).enum_cap
+    n = parent.order()
+    if n > cap:
+        raise CapExceeded(f"order {n} exceeds enumeration cap {cap}")
+    reps, _, _ = _coset_index(parent, H)
     hgens = H.raw_gens()
-    members = [g for g in parent.raw_elements(caps)
-               if all(H.contains_raw(_conjugate(g, h)) for h in hgens)]
-    return group_from_elements(parent.degree, members)
+    normalizing = [r for r in reps
+                   if all(H.contains_raw(_conjugate(r, h)) for h in hgens)]
+    h_elements = H.raw_elements(caps)
+    return group_from_elements(
+        parent.degree, [_compose(r, h) for r in normalizing for h in h_elements])
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +134,7 @@ def maximal_selfnormalizing(G0: PermGroup, caps: Caps | None = None) -> PermGrou
 
     Maximality is certified by primitivity of the coset action (a coset action
     with a nontrivial block system would expose an intermediate subgroup), and
-    self-normalization is confirmed by a full element scan.
+    self-normalization is confirmed by `brute_normalizer`, one test per coset.
     """
     caps = effective_caps(caps)
     if is_abelian(G0):
@@ -139,8 +156,6 @@ def maximal_selfnormalizing(G0: PermGroup, caps: Caps | None = None) -> PermGrou
         if not maximal:
             raise InvalidInput("no maximal subgroup found under the subgroup cap")
         H0 = min(maximal, key=lambda S: (-S.order(), S.raw_gens()))
-        from .perm import coset_action
-
         if not is_primitive(coset_action(G0, H0).image()):
             raise FalsificationAlarm(
                 "coset action of a lattice-maximal subgroup has nontrivial blocks",
@@ -205,7 +220,8 @@ def build_realization(G: PermGroup, G0: PermGroup, Gn: PermGroup,
 
     The normalizer is assembled structurally from H and the canonical lifts of
     the embedded copy of G; when |Γ| fits the enumeration cap (and brute_check
-    is on) a full element scan must reproduce it exactly.
+    is on) `brute_normalizer`, exhaustive over Γ by testing one element of
+    each left coset of H, must reproduce it exactly.
     """
     caps = effective_caps(caps)
     checks: dict = {}
@@ -255,12 +271,19 @@ def build_realization(G: PermGroup, G0: PermGroup, Gn: PermGroup,
             "structural normalizer has the wrong order",
             witness={"m_order": M.order(), "h_order": H.order(),
                      "g_order": G.order()})
-    for m in M.raw_gens():
-        for h in H.raw_gens():
-            if not H.contains_raw(_conjugate(m, h)):
-                raise FalsificationAlarm(
-                    "structural normalizer does not normalize H",
-                    witness={"m": str(Permutation(m)), "h": str(Permutation(h))})
+    # quotient's normality test sifts each conjugate h^m; only an alarm
+    # sifts them again, to name the pair that fails.
+    try:
+        Q, _ = quotient(M, H, caps)
+    except InvalidInput:
+        bad = next(((m, h) for m in M.raw_gens() for h in H.raw_gens()
+                    if not H.contains_raw(_conjugate(m, h))), None)
+        if bad is None:
+            raise
+        raise FalsificationAlarm(
+            "structural normalizer does not normalize H",
+            witness={"m": str(Permutation(bad[0])),
+                     "h": str(Permutation(bad[1]))}) from None
     checks["structural_normalizer"] = "passed"
 
     if brute_check:
@@ -282,7 +305,6 @@ def build_realization(G: PermGroup, G0: PermGroup, Gn: PermGroup,
 
     _check_top_quotient(wp, checks)
 
-    Q, _ = quotient(M, H, caps)
     iso = isomorphic(Q, G, caps)
     if iso is None:
         raise FalsificationAlarm(
@@ -401,7 +423,7 @@ class BruteHit:
 
 def brute_search(Gamma: PermGroup, G: PermGroup, limit: int | None = None,
                  caps: Caps | None = None) -> list[BruteHit]:
-    """All subgroups H ≤ Γ with N_Γ(H)/H ≅ G, normalizers by element scan."""
+    """All subgroups H ≤ Γ with N_Γ(H)/H ≅ G, normalizers by `brute_normalizer`."""
     hits = []
     for H in subgroups(Gamma, limit=limit, caps=caps):
         N = brute_normalizer(Gamma, H, caps)

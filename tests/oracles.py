@@ -67,6 +67,12 @@ def naive_normal_subgroups(G: frozenset[RawPerm], degree: int) -> set[frozenset[
     return found
 
 
+def naive_normalizer(G: frozenset[RawPerm], H: frozenset[RawPerm]) -> frozenset[RawPerm]:
+    """Every g in G with g·H·g⁻¹ = H, by conjugating all of H."""
+    return frozenset(g for g in G
+                     if {compose(g, compose(h, inverse(g))) for h in H} == H)
+
+
 def naive_is_homomorphism(table: dict[RawPerm, RawPerm]) -> bool:
     for x, fx in table.items():
         for y, fy in table.items():

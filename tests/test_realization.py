@@ -1,5 +1,7 @@
 """Tests for the normalizer-quotient realization machinery."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from classlab.config import Caps
 from classlab.errors import CapExceeded, FalsificationAlarm, InvalidInput
@@ -7,9 +9,12 @@ from classlab.perm import (
     GroupHom,
     PermGroup,
     Permutation,
+    StabChain,
     _compose,
+    _conjugate,
     direct_power,
     generate,
+    group_from_elements,
     identity_hom,
     trivial_group,
 )
@@ -99,6 +104,89 @@ def test_brute_normalizer_matches_known_case():
     assert N.order() == 8
 
 
+@st.composite
+def group_and_subgroup(draw):
+    """(degree, generators of P, elements of H ≤ P, kind of H): H is trivial,
+    P itself, normal in P, self-normalizing in P, or generated by random
+    elements of P."""
+    degree = draw(st.integers(min_value=1, max_value=5))
+    perm = st.permutations(list(range(degree))).map(tuple)
+    gens = draw(st.lists(perm, min_size=1, max_size=3))
+    P = oracles.naive_closure(gens, degree)
+    seeds = draw(st.lists(st.sampled_from(sorted(P)), min_size=1, max_size=2))
+    kind = draw(st.sampled_from(
+        ["trivial", "parent", "normal", "selfnormalizing", "random"]))
+    if kind == "trivial":
+        H = frozenset({tuple(range(degree))})
+    elif kind == "parent":
+        H = P
+    elif kind == "normal":
+        H = oracles.naive_normal_closure(P, seeds, degree)
+    else:
+        H = oracles.naive_closure(seeds, degree)
+        if kind == "selfnormalizing":
+            # H ≤ N(H) ≤ N(N(H)) ≤ … stops at a self-normalizing subgroup.
+            while (N := oracles.naive_normalizer(P, H)) != H:
+                H = N
+    return degree, gens, sorted(H), kind
+
+
+@given(group_and_subgroup())
+@settings(max_examples=60, deadline=None)
+def test_brute_normalizer_matches_element_scan_and_oracle(case):
+    degree, gens, h_elements, kind = case
+    P, H = generate(gens, degree), generate(h_elements, degree)
+    N = brute_normalizer(P, H)
+    scan = group_from_elements(degree, [
+        g for g in P.raw_elements()
+        if all(H.contains_raw(_conjugate(g, h)) for h in H.raw_gens())])
+    assert N.raw_gens() == scan.raw_gens()
+    expected = oracles.naive_normalizer(oracles.naive_closure(gens, degree),
+                                        frozenset(h_elements))
+    assert N.element_set() == expected
+    if kind in ("trivial", "parent", "normal"):
+        assert N.order() == P.order()
+    elif kind == "selfnormalizing":
+        assert N.order() == H.order()
+
+
+def test_brute_normalizer_requires_subgroup():
+    A4 = generate(["(1 2 3)", "(2 3 4)"], 4)
+    with pytest.raises(InvalidInput):
+        brute_normalizer(A4, generate(["(1 2)"], 4))
+    with pytest.raises(InvalidInput):
+        brute_normalizer(A4, generate(["(1 2 3)"], 5))
+
+
+def test_brute_normalizer_cap_message():
+    S4 = symmetric(4)
+    C4 = generate(["(1 2 3 4)"], 4)
+    with pytest.raises(CapExceeded, match=r"^order 24 exceeds enumeration cap 23$"):
+        brute_normalizer(S4, C4, Caps(enum_cap=23))
+    assert brute_normalizer(S4, C4, Caps(enum_cap=24)).order() == 8
+
+
+def test_brute_check_never_enumerates_gamma(monkeypatch):
+    cert = realize(cyclic(2), top=cyclic(4))
+    assert cert.checks["brute_normalizer"] == "passed"
+    assert "raw_elements" not in cert.gamma._cache
+
+    yielded = []
+    iter_elements = StabChain.iter_elements
+
+    def counting(self):
+        for x in iter_elements(self):
+            yielded.append(x)
+            yield x
+
+    monkeypatch.setattr(StabChain, "iter_elements", counting)
+    H = PermGroup(cert.h.degree, cert.h.generators)
+    N = brute_normalizer(cert.gamma, H)
+    assert N.same_group(cert.normalizer)
+    assert 0 < len(yielded) <= H.order() < cert.gamma.order()
+    assert "raw_elements" not in cert.gamma._cache
+
+
 # ---------------------------------------------------------------------------
 # build_realization
 
@@ -110,8 +198,32 @@ def test_build_c2_over_a5_by_c2():
     assert cert.gamma.order() == 120
     assert cert.h.order() == 12
     assert cert.normalizer.order() == 24
-    assert cert.checks["brute_normalizer"] == "passed"
+    assert list(cert.checks.items()) == [
+        ("embedding_multiplicative", "passed"), ("order_arithmetic", "passed"),
+        ("structural_normalizer", "passed"), ("brute_normalizer", "passed"),
+        ("top_quotient", "passed"), ("iso_verified", "passed")]
     assert cert.iso.forward.source.order() == 2
+
+
+def test_build_alarms_when_structural_normalizer_does_not_normalize(monkeypatch):
+    # A corrupted M: the true normalizer's chain, under generators that add
+    # (1 2 3), which moves the point H0 fixes and so does not normalize H.
+    bad = Permutation.from_cycles("(1 2 3)", 7)
+    extended = PermGroup.extended
+
+    def corrupted(self, extra_gens):
+        M = extended(self, extra_gens)
+        if self.degree == 7 and self.order() == 12:
+            fake = PermGroup(7, list(M.generators) + [bad])
+            fake._chain = M.chain()
+            return fake
+        return M
+
+    monkeypatch.setattr(PermGroup, "extended", corrupted)
+    C2 = cyclic(2)
+    with pytest.raises(FalsificationAlarm, match="does not normalize H") as info:
+        build_realization(C2, alternating(5), C2, identity_hom(C2))
+    assert info.value.witness["m"] == "(1 2 3)"
 
 
 def test_build_c2_inside_c4_top():
