@@ -438,7 +438,7 @@ class ClassEval:
         known = self._quotients.setdefault(G, {})
         if idx not in known:
             N = self.lattice(G).members[idx]
-            Q, _ = quotient(G, N, self.caps)
+            Q, _ = quotient(G, N)
             # Holding G under its own weak key would keep it alive.
             known[idx] = None if Q is G else Q
         Q = known[idx]
@@ -472,9 +472,9 @@ class ClassEval:
         if isinstance(C, Cyclic):
             return is_cyclic(G, self.caps)
         if isinstance(C, Nilpotent):
-            return is_nilpotent(G, self.caps)
+            return is_nilpotent(G)
         if isinstance(C, Solvable):
-            return is_solvable(G, self.caps)
+            return is_solvable(G)
         if isinstance(C, Simple):
             return is_simple(G, self.caps)
         if isinstance(C, PGroup):
@@ -590,7 +590,7 @@ class ClassEval:
         if isinstance(C, Dual) and not value:
             witness = self.dual_witness(C.a, G)
             assert witness is not None
-            idx = self.lattice(G).find(witness)
+            idx = self.lattice(G).members.index(witness)
             Q = self.quotient_at(G, idx)
             trace = {
                 "witness_normal_order": witness.order(),
@@ -674,7 +674,7 @@ def audit_property(C: ClassExpr, catalog: Catalog, which: str,
                         if ev.member(C, ev.quotient_at(G, idx))]
                 for pos, i in enumerate(in_c):
                     for j in in_c[pos:]:
-                        meet = lattice_meet(ev, G, i, j)
+                        meet = lat.meet(i, j)
                         if not ev.member(C, ev.quotient_at(G, meet)):
                             counterexamples.append({
                                 "group": entry.name,
@@ -696,24 +696,6 @@ def audit_property(C: ClassExpr, catalog: Catalog, which: str,
         domain=f"catalog of {len(catalog)} groups "
                f"(sym_degree={catalog.provenance.get('sym_degree')})",
     )
-
-
-def lattice_meet(ev: ClassEval, G: PermGroup, i: int, j: int) -> int:
-    """Index of members[i] ∩ members[j] in G's normal lattice."""
-    from .structure import intersect_groups
-
-    cache = G._cache.setdefault("lattice_meets", {})
-    key = (i, j) if i <= j else (j, i)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    lat = ev.lattice(G)
-    meet = intersect_groups(lat.members[i], lat.members[j], ev.caps)
-    idx = lat.find(meet)
-    if idx is None:
-        raise InvalidInput("lattice is not intersection-closed")
-    cache[key] = idx
-    return idx
 
 
 _FLAG_RULES = {

@@ -206,8 +206,8 @@ def _cmd_group(args, caps: Caps):
             "trivial": G.order() == 1,
             "cyclic": is_cyclic(G, caps),
             "abelian": is_abelian(G),
-            "nilpotent": is_nilpotent(G, caps),
-            "solvable": is_solvable(G, caps),
+            "nilpotent": is_nilpotent(G),
+            "solvable": is_solvable(G),
             "simple": is_simple(G, caps),
         },
     }

@@ -504,8 +504,7 @@ def group_from_elements(degree: int, raws: Iterable[RawPerm]) -> PermGroup:
     chain = StabChain(degree)
     gens: list[RawPerm] = []
     for raw in sorted(raws):
-        if not chain.contains(raw):
-            chain.extend(raw)
+        if chain.extend(raw):
             gens.append(raw)
     group = PermGroup(degree, gens)
     group._chain = chain

@@ -232,12 +232,9 @@ def build_realization(G: PermGroup, G0: PermGroup, Gn: PermGroup,
         raise InvalidInput("embedding target does not match the top group")
     if embed.kernel().order() != 1:
         raise InvalidInput("embedding is not injective")
-    if G.order() * G.order() <= caps.enum_cap:
-        if not embed.is_multiplicative():
-            raise InvalidInput("embedding is not a homomorphism")
-        checks["embedding_multiplicative"] = "passed"
-    else:
-        checks["embedding_multiplicative"] = "skipped"
+    if not embed.is_multiplicative():
+        raise InvalidInput("embedding is not a homomorphism")
+    checks["embedding_multiplicative"] = "passed"
 
     H0 = maximal_selfnormalizing(G0, caps)
     image = embed.image()
@@ -274,7 +271,7 @@ def build_realization(G: PermGroup, G0: PermGroup, Gn: PermGroup,
     # quotient's normality test sifts each conjugate h^m; only an alarm
     # sifts them again, to name the pair that fails.
     try:
-        Q, _ = quotient(M, H, caps)
+        Q, _ = quotient(M, H)
     except InvalidInput:
         bad = next(((m, h) for m in M.raw_gens() for h in H.raw_gens()
                     if not H.contains_raw(_conjugate(m, h))), None)
@@ -429,7 +426,7 @@ def brute_search(Gamma: PermGroup, G: PermGroup, limit: int | None = None,
         N = brute_normalizer(Gamma, H, caps)
         if N.order() != H.order() * G.order():
             continue
-        Q, _ = quotient(N, H, caps)
+        Q, _ = quotient(N, H)
         iso = isomorphic(Q, G, caps)
         if iso is not None:
             hits.append(BruteHit(subgroup=H, normalizer=N, quotient=Q, iso=iso))

@@ -120,7 +120,7 @@ def center(G: PermGroup, caps: Caps | None = None) -> PermGroup:
     return group_from_elements(G.degree, members)
 
 
-def normal_closure(G: PermGroup, seeds: Iterable, caps: Caps | None = None) -> PermGroup:
+def normal_closure(G: PermGroup, seeds: Iterable) -> PermGroup:
     """The smallest normal subgroup of G containing the seed elements."""
     raws = _coerce_raws(G, seeds)
     target = G.order()
@@ -128,8 +128,7 @@ def normal_closure(G: PermGroup, seeds: Iterable, caps: Caps | None = None) -> P
     gens: list[RawPerm] = []
     frontier: list[RawPerm] = []
     for s in raws:
-        if not chain.contains(s):
-            chain.extend(s)
+        if chain.extend(s):
             gens.append(s)
             frontier.append(s)
     outer = G.raw_gens()
@@ -138,8 +137,7 @@ def normal_closure(G: PermGroup, seeds: Iterable, caps: Caps | None = None) -> P
         for x in frontier:
             for g in outer:
                 c = _conjugate(g, x)
-                if not chain.contains(c):
-                    chain.extend(c)
+                if chain.extend(c):
                     gens.append(c)
                     nxt.append(c)
         frontier = nxt
@@ -151,23 +149,24 @@ def normal_closure(G: PermGroup, seeds: Iterable, caps: Caps | None = None) -> P
 def normal_in(parent: PermGroup, N: PermGroup) -> bool:
     if not N.is_subgroup_of(parent):
         return False
-    return all(N.contains_raw(_conjugate(g, x))
-               for g in parent.raw_gens() for x in N.raw_gens())
+    # A parent generator inside N conjugates N into itself.
+    outer = [g for g in parent.raw_gens() if not N.contains_raw(g)]
+    return all(N.contains_raw(_conjugate(g, x)) for g in outer for x in N.raw_gens())
 
 
 def _commutator(a: RawPerm, b: RawPerm) -> RawPerm:
     return _compose(a, _compose(b, _compose(_inverse(a), _inverse(b))))
 
 
-def derived_subgroup(G: PermGroup, caps: Caps | None = None) -> PermGroup:
+def derived_subgroup(G: PermGroup) -> PermGroup:
     comms = [_commutator(a, b) for a in G.raw_gens() for b in G.raw_gens()]
-    return normal_closure(G, comms, caps)
+    return normal_closure(G, comms)
 
 
-def derived_series(G: PermGroup, caps: Caps | None = None) -> list[PermGroup]:
+def derived_series(G: PermGroup) -> list[PermGroup]:
     series = [G]
     while True:
-        nxt = derived_subgroup(series[-1], caps)
+        nxt = derived_subgroup(series[-1])
         if nxt.order() == series[-1].order():
             return series
         series.append(nxt)
@@ -175,12 +174,12 @@ def derived_series(G: PermGroup, caps: Caps | None = None) -> list[PermGroup]:
             return series
 
 
-def lower_central_series(G: PermGroup, caps: Caps | None = None) -> list[PermGroup]:
+def lower_central_series(G: PermGroup) -> list[PermGroup]:
     series = [G]
     while True:
         cur = series[-1]
         comms = [_commutator(a, b) for a in G.raw_gens() for b in cur.raw_gens()]
-        nxt = normal_closure(G, comms, caps)
+        nxt = normal_closure(G, comms)
         if nxt.order() == cur.order():
             return series
         series.append(nxt)
@@ -213,12 +212,12 @@ def is_p_group(G: PermGroup, p: int) -> bool:
     return n == 1
 
 
-def is_solvable(G: PermGroup, caps: Caps | None = None) -> bool:
-    return derived_series(G, caps)[-1].order() == 1
+def is_solvable(G: PermGroup) -> bool:
+    return derived_series(G)[-1].order() == 1
 
 
-def is_nilpotent(G: PermGroup, caps: Caps | None = None) -> bool:
-    return lower_central_series(G, caps)[-1].order() == 1
+def is_nilpotent(G: PermGroup) -> bool:
+    return lower_central_series(G)[-1].order() == 1
 
 
 def is_simple(G: PermGroup, caps: Caps | None = None) -> bool:
@@ -234,7 +233,7 @@ def is_simple(G: PermGroup, caps: Caps | None = None) -> bool:
     for cls in conjugacy_classes(G, caps):
         if cls.rep.is_identity():
             continue
-        if normal_closure(G, [cls.rep], caps).order() != n:
+        if normal_closure(G, [cls.rep]).order() != n:
             return False
     return True
 
@@ -245,20 +244,34 @@ def is_simple(G: PermGroup, caps: Caps | None = None) -> bool:
 
 @dataclass
 class NormalLattice:
-    """The full set of normal subgroups of a group, with maximality flags."""
+    """The full set of normal subgroups of a group, with maximality flags.
+
+    A normal subgroup is a union of conjugacy classes, so a member is
+    identified exactly by its mask: bit k is set when it contains the k-th
+    class of `conjugacy_classes(parent)`.  The meet of members is the AND of
+    their masks.
+    """
 
     parent: PermGroup
     members: list[PermGroup]
     maximal: list[bool]
+    masks: list[int]
+
+    def __post_init__(self) -> None:
+        self._index = {mask: i for i, mask in enumerate(self.masks)}
 
     def maximal_members(self) -> list[PermGroup]:
         return [m for m, flag in zip(self.members, self.maximal) if flag]
 
-    def find(self, H: PermGroup) -> int | None:
-        for i, m in enumerate(self.members):
-            if m.same_group(H):
-                return i
-        return None
+    def meet(self, *indices: int) -> int:
+        """Index of the intersection of the given members (the parent for none)."""
+        mask = self.masks[-1]
+        for i in indices:
+            mask &= self.masks[i]
+        idx = self._index.get(mask)
+        if idx is None:
+            raise InvalidInput("lattice is not intersection-closed")
+        return idx
 
 
 def normal_subgroups(G: PermGroup, caps: Caps | None = None) -> NormalLattice:
@@ -266,83 +279,85 @@ def normal_subgroups(G: PermGroup, caps: Caps | None = None) -> NormalLattice:
 
     Each normal subgroup is the join of the normal closures of the elements it
     contains, so closing the closures of class representatives under pairwise
-    join is exhaustive.  Members are ordered by (order, first-discovery).
+    join is exhaustive.  A candidate is the least normal subgroup containing
+    known classes (class k, or the classes of M and A for a join ⟨M, A⟩), so a
+    known member of its order whose mask covers them is the candidate; only a
+    new member sifts class representatives to fill in its mask.  Members are
+    ordered by (order, first discovery).
     """
     cached = G._cache.get("normal_lattice")
     if cached is not None:
         return cached
     order_G = G.order()
-    distinct: list[PermGroup] = [trivial_group(G.degree)]
+    classes = conjugacy_classes(G, caps)
+    reps = [cls.rep.images for cls in classes]
+    # The identity class is first, so the trivial group's mask is 1.
+    distinct: list[tuple[PermGroup, int]] = [(trivial_group(G.degree), 1)]
 
-    def register(N: PermGroup) -> bool:
-        for m in distinct:
-            if m.order() == N.order() and N.is_subgroup_of(m):
-                return False
-        distinct.append(N)
-        return True
+    def register(N: PermGroup, known: int) -> int | None:
+        """N's mask if N is new, else None; N contains the classes in `known`."""
+        n = N.order()
+        if any(known & ~mask == 0 and m.order() == n for m, mask in distinct):
+            return None
+        for k, r in enumerate(reps):
+            if not known >> k & 1 and N.contains_raw(r):
+                known |= 1 << k
+        distinct.append((N, known))
+        return known
 
-    atoms: list[PermGroup] = []
-    for cls in conjugacy_classes(G, caps):
-        if cls.rep.is_identity():
+    atoms: list[tuple[PermGroup, int]] = []
+    for k, cls in enumerate(classes):
+        if k == 0:
             continue
-        N = normal_closure(G, [cls.rep], caps)
-        if register(N):
-            atoms.append(N)
+        N = normal_closure(G, [cls.rep])
+        mask = register(N, 1 << k | 1)
+        if mask is not None:
+            atoms.append((N, mask))
 
     frontier = list(atoms)
     while frontier:
         nxt = []
-        for M in frontier:
+        for M, m_mask in frontier:
             if M.order() == order_G:
                 continue
-            for A in atoms:
-                if all(M.contains_raw(g) for g in A.raw_gens()):
+            for A, a_mask in atoms:
+                if a_mask & ~m_mask == 0:
                     continue
                 J = M.extended(A.generators)
-                if register(J):
-                    nxt.append(J)
+                mask = register(J, m_mask | a_mask)
+                if mask is not None:
+                    nxt.append((J, mask))
         frontier = nxt
 
-    order_index = {id(m): i for i, m in enumerate(distinct)}
-    members = sorted(distinct, key=lambda m: (m.order(), order_index[id(m)]))
-    maximal = []
-    for i, m in enumerate(members):
-        if m.order() == order_G:
-            maximal.append(False)
-            continue
-        strictly_above = any(
-            other.order() < order_G and other.order() > m.order()
-            and m.is_subgroup_of(other)
-            for other in members)
-        maximal.append(not strictly_above)
-    lattice = NormalLattice(G, members, maximal)
+    ranked = sorted(distinct, key=lambda entry: entry[0].order())
+    masks = [mask for _, mask in ranked]
+    full = masks[-1]
+    maximal = [mask != full and not any(other not in (full, mask) and mask & ~other == 0
+                                        for other in masks)
+               for mask in masks]
+    lattice = NormalLattice(G, [m for m, _ in ranked], maximal, masks)
     G._cache["normal_lattice"] = lattice
     return lattice
 
 
-def intersect_groups(A: PermGroup, B: PermGroup, caps: Caps | None = None) -> PermGroup:
-    if A.degree != B.degree:
-        raise InvalidInput("intersection requires equal degrees")
-    small, big = (A, B) if A.order() <= B.order() else (B, A)
-    members = [x for x in small.raw_elements(caps) if big.contains_raw(x)]
-    return group_from_elements(A.degree, members)
-
-
 def baer_radical(G: PermGroup, caps: Caps | None = None) -> PermGroup:
-    """The intersection of all maximal normal subgroups of a nontrivial group."""
+    """The intersection of all maximal normal subgroups of a nontrivial group.
+
+    With several maximal members it is built from the classes in their meet.
+    """
     if G.order() == 1:
         raise InvalidInput("the radical is defined only for nontrivial groups")
-    rad: PermGroup | None = None
-    for H in normal_subgroups(G, caps).maximal_members():
-        rad = H if rad is None else intersect_groups(rad, H, caps)
-        if rad.order() == 1:
-            break
-    assert rad is not None
-    return rad
+    lat = normal_subgroups(G, caps)
+    maximal = [i for i, flag in enumerate(lat.maximal) if flag]
+    if len(maximal) == 1:
+        return lat.members[maximal[0]]
+    mask = lat.masks[lat.meet(*maximal)]
+    return group_from_elements(G.degree, [
+        x for k, cls in enumerate(conjugacy_classes(G, caps)) if mask >> k & 1
+        for x in cls.members])
 
 
-def quotient(G: PermGroup, N: PermGroup,
-             caps: Caps | None = None) -> tuple[PermGroup, GroupHom]:
+def quotient(G: PermGroup, N: PermGroup) -> tuple[PermGroup, GroupHom]:
     """G/N as a faithful permutation group via the action on cosets of N."""
     if not normal_in(G, N):
         raise InvalidInput("quotient requires a normal subgroup")
@@ -380,7 +395,7 @@ def fingerprint(G: PermGroup, caps: Caps | None = None) -> tuple:
     hist = tuple(sorted(element_order_histogram(G, caps).items()))
     class_sizes = tuple(sorted(c.size for c in conjugacy_classes(G, caps)))
     z = center(G, caps).order()
-    derived = tuple(s.order() for s in derived_series(G, caps))
+    derived = tuple(s.order() for s in derived_series(G))
     fp = (G.order(), hist, class_sizes, z, derived)
     G._cache["fingerprint"] = fp
     return fp
@@ -417,8 +432,7 @@ def _generating_sequence(G: PermGroup, caps: Caps | None = None
     for x in ordered:
         if chain.order() == target:
             break
-        if not chain.contains(x):
-            chain.extend(x)
+        if chain.extend(x):
             seq.append(x)
             orders.append(chain.order())
     return seq, orders
@@ -635,52 +649,48 @@ def radical_factorization(G: PermGroup, caps: Caps | None = None) -> RadicalFact
     """
     if G.order() == 1:
         raise InvalidInput("radical factorization requires a nontrivial group")
-    maximals = normal_subgroups(G, caps).maximal_members()
-    rad_order = baer_radical(G, caps).order()
+    lat = normal_subgroups(G, caps)
+    radical = baer_radical(G, caps)
+    maximal = [i for i, flag in enumerate(lat.maximal) if flag]
+    rad = lat.meet(*maximal)
 
-    family: list[PermGroup] = []
-    current: PermGroup | None = None
-    for H in maximals:
-        merged = H if current is None else intersect_groups(current, H, caps)
-        if current is None or merged.order() < current.order():
-            family.append(H)
-            current = merged
-        if current.order() == rad_order:
+    picked: list[int] = []
+    current = lat.meet()
+    for i in maximal:
+        if current == rad:
             break
-    assert current is not None and current.order() == rad_order
+        merged = lat.meet(current, i)
+        if merged != current:
+            picked.append(i)
+            current = merged
 
-    reduced = list(family)
     i = 0
-    while i < len(reduced):
-        rest = reduced[:i] + reduced[i + 1:]
-        if rest:
-            inter = rest[0]
-            for H in rest[1:]:
-                inter = intersect_groups(inter, H, caps)
-            if inter.order() == rad_order:
-                reduced = rest
-                continue
+    while i < len(picked):
+        rest = picked[:i] + picked[i + 1:]
+        if lat.meet(*rest) == rad:
+            picked = rest
+            continue
         i += 1
 
     n = G.order()
     product = 1
     quotients = []
-    for H in reduced:
-        Q, _ = quotient(G, H, caps)
+    family = [lat.members[i] for i in picked]
+    for H in family:
+        Q, _ = quotient(G, H)
         quotients.append(Q)
         product *= n // H.order()
-    if product != n // rad_order:
+    if product != n // radical.order():
         raise FalsificationAlarm(
             "radical factorization order identity failed",
-            witness={"group_order": n, "radical_order": rad_order,
-                     "family_orders": [H.order() for H in reduced]})
+            witness={"group_order": n, "radical_order": radical.order(),
+                     "family_orders": [H.order() for H in family]})
     for Q in quotients:
         if not is_simple(Q, caps):
             raise FalsificationAlarm(
                 "maximal-normal quotient is not simple",
                 witness={"quotient_order": Q.order()})
-    radical = baer_radical(G, caps)
-    return RadicalFactorization(G, radical, reduced, quotients)
+    return RadicalFactorization(G, radical, family, quotients)
 
 
 def simple_quotients(G: PermGroup, caps: Caps | None = None) -> list[PermGroup]:
@@ -689,13 +699,13 @@ def simple_quotients(G: PermGroup, caps: Caps | None = None) -> list[PermGroup]:
         return []
     reps: list[PermGroup] = []
     for H in normal_subgroups(G, caps).maximal_members():
-        Q, _ = quotient(G, H, caps)
+        Q, _ = quotient(G, H)
         if not any(isomorphic(Q, R, caps) is not None for R in reps):
             reps.append(Q)
     return reps
 
 
-def has_prime_order_quotient(G: PermGroup, caps: Caps | None = None) -> bool:
+def has_prime_order_quotient(G: PermGroup) -> bool:
     """True iff some maximal normal subgroup has prime index.
 
     Equivalent to the abelianization being nontrivial: a prime-order quotient
@@ -703,7 +713,7 @@ def has_prime_order_quotient(G: PermGroup, caps: Caps | None = None) -> bool:
     group surjects onto some C_p.  Computed via the derived subgroup so that
     large groups need no quotient or lattice construction.
     """
-    return derived_subgroup(G, caps).order() < G.order()
+    return derived_subgroup(G).order() < G.order()
 
 
 def complement_exists(G: PermGroup, N: PermGroup,
@@ -720,7 +730,7 @@ def complement_exists(G: PermGroup, N: PermGroup,
         return G
     if N.order() == G.order():
         return trivial_group(G.degree)
-    Q, proj = quotient(G, N, caps)
+    Q, proj = quotient(G, N)
     q_order = Q.order()
     q_seq, _ = _generating_sequence(Q, caps)
 

@@ -19,7 +19,6 @@ from .classes import (
     ClassEval,
     audit_property,
     classify,
-    lattice_meet,
     parse_class_expr,
 )
 from .config import Caps, effective_caps
@@ -248,7 +247,7 @@ def _chk_perm_hom_multiplicative(ctx: SuiteContext):
     sign_images = [Permutation((1, 0)) if g.parity() == 1 else Permutation.identity(2)
                    for g in s4.generators]
     v4 = generate(["(1 2)(3 4)", "(1 3)(2 4)"], 4)
-    _, proj = quotient(s4, v4, ctx.caps)
+    _, proj = quotient(s4, v4)
     homs = [
         ("sign-of-S4", GroupHom(s4, cyclic(2), sign_images)),
         ("coset-S4-over-S3", coset_action(s4, point_stabilizer(s4, 3))),
@@ -380,13 +379,13 @@ def _chk_structure_disjoint_normal_covers(ctx: SuiteContext):
         trivial_idx = orders.index(1)
         for i in range(len(orders)):
             for j in range(i, len(orders)):
-                if lattice_meet(ctx.ev, G, i, j) != trivial_idx:
+                if lat.meet(i, j) != trivial_idx:
                     continue
                 for k in range(len(orders)):
-                    ku = orders[k] * orders[i] // orders[lattice_meet(ctx.ev, G, k, i)]
+                    ku = orders[k] * orders[i] // orders[lat.meet(k, i)]
                     if ku != n:
                         continue
-                    kv = orders[k] * orders[j] // orders[lattice_meet(ctx.ev, G, k, j)]
+                    kv = orders[k] * orders[j] // orders[lat.meet(k, j)]
                     if kv != n:
                         continue
                     if not is_abelian(ctx.ev.quotient_at(G, k)):
@@ -664,7 +663,7 @@ def _chk_hat_cyclic_equals_solvable(ctx: SuiteContext):
     bad = []
     for name, G in ctx.members():
         got = ctx.ev.member(hat_cyc, G)
-        want = is_solvable(G, ctx.caps)
+        want = is_solvable(G)
         if got != want:
             bad.append({"group": name, "hat_cyclic": got, "solvable": want})
     return {"mismatches": bad} if bad else None
@@ -785,7 +784,7 @@ def _chk_fnr_witnesses(ctx: SuiteContext):
         if ctx.ev.member(fnr, G):
             bad.append({"group": name, "expected": "non-member"})
     for name, G in ctx.members():
-        if G.order() > 1 and is_solvable(G, ctx.caps) and ctx.ev.member(fnr, G):
+        if G.order() > 1 and is_solvable(G) and ctx.ev.member(fnr, G):
             bad.append({"group": name, "expected": "solvable non-member"})
     z = center(special_linear(5), ctx.caps)
     if z.order() != 2 or ctx.ev.member(fnr, z):
@@ -804,7 +803,7 @@ def _chk_classes_fnr_characterizations(ctx: SuiteContext):
     for name, G in ctx.members():
         if G.order() > 1:
             got = ctx.ev.member(fnr, G)
-            want = not has_prime_order_quotient(G, ctx.caps)
+            want = not has_prime_order_quotient(G)
             if got != want:
                 bad.append({"group": name, "fnr": got, "no_prime_quotient": want})
         sq = simple_quotients(G, ctx.caps)
@@ -874,7 +873,7 @@ def _chk_realization_perfect_wreaths(ctx: SuiteContext):
     ]
     bad = []
     for label, W in cases:
-        if has_prime_order_quotient(W.group, ctx.caps):
+        if has_prime_order_quotient(W.group):
             bad.append({"case": label, "order": W.group.order()})
     return {"violations": bad} if bad else None
 

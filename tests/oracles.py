@@ -17,11 +17,12 @@ def inverse(a: RawPerm) -> RawPerm:
     return tuple(out)
 
 
-def naive_closure(gens: list[RawPerm], degree: int) -> frozenset[RawPerm]:
-    """All products of generators, by breadth-first multiplication."""
-    ident = tuple(range(degree))
-    seen = {ident}
-    frontier = [ident]
+def naive_closure(gens: list[RawPerm], degree: int,
+                  start: frozenset[RawPerm] | None = None) -> frozenset[RawPerm]:
+    """All products of generators, by breadth-first multiplication; with a
+    start set, all products of generators times its elements."""
+    seen = set(start) if start is not None else {tuple(range(degree))}
+    frontier = list(seen)
     while frontier:
         nxt = []
         for x in frontier:
@@ -50,7 +51,11 @@ def naive_commutator_subgroup(G: frozenset[RawPerm], degree: int) -> frozenset[R
 
 
 def naive_normal_subgroups(G: frozenset[RawPerm], degree: int) -> set[frozenset[RawPerm]]:
-    """Every normal subgroup, as an element set (feasible only for tiny G)."""
+    """Every normal subgroup, as an element set (feasible only for small G).
+
+    For N normal, the normal closure of N and x is ⟨x^G⟩·N: every product of
+    conjugates of x times an element of N.
+    """
     found = {frozenset({tuple(range(degree))})}
     frontier = list(found)
     while frontier:
@@ -59,7 +64,8 @@ def naive_normal_subgroups(G: frozenset[RawPerm], degree: int) -> set[frozenset[
             for x in G:
                 if x in N:
                     continue
-                M = naive_normal_closure(G, list(N) + [x], degree)
+                conj = sorted({compose(g, compose(x, inverse(g))) for g in G})
+                M = naive_closure(conj, degree, start=N)
                 if M not in found:
                     found.add(M)
                     nxt.append(M)

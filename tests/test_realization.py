@@ -267,6 +267,11 @@ def test_build_brute_cap_and_optout():
     assert cert.normalizer.order() == 24
 
 
+def test_embedding_checked_beyond_enumeration_cap():
+    cert = realize(cyclic(11), caps=Caps(enum_cap=100), brute_check=False)
+    assert cert.checks["embedding_multiplicative"] == "passed"
+
+
 def test_certificate_json_shape():
     C2 = cyclic(2)
     cert = build_realization(C2, alternating(5), C2, identity_hom(C2))

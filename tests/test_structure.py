@@ -10,6 +10,7 @@ from classlab.errors import FalsificationAlarm, InvalidInput, SubgroupLimitExcee
 from classlab.perm import GroupHom, Permutation, coset_action, generate, regular_representation
 from classlab.structure import (
     IsoCertificate,
+    NormalLattice,
     baer_radical,
     center,
     complement_exists,
@@ -18,7 +19,6 @@ from classlab.structure import (
     derived_subgroup,
     fingerprint,
     has_prime_order_quotient,
-    intersect_groups,
     is_abelian,
     is_cyclic,
     is_nilpotent,
@@ -162,6 +162,14 @@ class TestPredicates:
         assert is_abelian(T) and is_cyclic(T) and is_solvable(T) and is_nilpotent(T)
 
 
+@st.composite
+def generated_group(draw):
+    """(degree, generators) of a group of degree at most 5."""
+    degree = draw(st.integers(min_value=1, max_value=5))
+    perm = st.permutations(list(range(degree))).map(tuple)
+    return degree, draw(st.lists(perm, min_size=1, max_size=3))
+
+
 class TestNormalLattice:
     def test_s4_lattice(self):
         lat = normal_subgroups(S4())
@@ -193,6 +201,36 @@ class TestNormalLattice:
         G = S4()
         for m in normal_subgroups(G).members:
             assert normal_in(G, m)
+
+    def test_meet_of_no_members_is_the_group(self):
+        lat = normal_subgroups(D8())
+        assert lat.meet() == len(lat.members) - 1
+        assert [lat.meet(i, i) for i in range(6)] == list(range(6))
+
+    def test_meet_outside_the_lattice_raises(self):
+        G = S3()
+        lat = NormalLattice(G, [G] * 3, [False] * 3, [0b011, 0b110, 0b111])
+        with pytest.raises(InvalidInput, match="lattice is not intersection-closed"):
+            lat.meet(0, 1)
+
+    @given(generated_group())
+    @settings(max_examples=40, deadline=None)
+    def test_lattice_meets_and_radical_match_oracles(self, case):
+        degree, gens = case
+        G = generate(gens, degree)
+        elements = oracles.naive_closure(gens, degree)
+        naive = oracles.naive_normal_subgroups(elements, degree)
+        lat = normal_subgroups(G)
+        sets = [m.element_set() for m in lat.members]
+        assert set(sets) == naive and len(sets) == len(naive)
+        for i, a in enumerate(sets):
+            for j, b in enumerate(sets):
+                assert sets[lat.meet(i, j)] == a & b
+        proper = naive - {elements}
+        maximal = {s for s in proper if not any(s < t for t in proper)}
+        assert lat.maximal == [s in maximal for s in sets]
+        if len(elements) > 1:
+            assert baer_radical(G).element_set() == frozenset.intersection(*maximal)
 
 
 class TestRadical:
@@ -555,7 +593,7 @@ class TestComplements:
     def test_s4_over_a4(self):
         K = complement_exists(S4(), A4())
         assert K is not None and K.order() == 2
-        assert intersect_groups(K, A4()).order() == 1
+        assert len(K.element_set() & A4().element_set()) == 1
 
     def test_c4_over_c2_has_none(self):
         C4 = generate(["(1 2 3 4)"], 4)
@@ -579,10 +617,3 @@ class TestComplements:
         C3 = generate(["(1 2 3)"], 3)
         K = complement_exists(G, C3)
         assert K is not None and K.order() == 2
-
-
-class TestIntersect:
-    def test_a4_with_s3(self):
-        got = intersect_groups(A4(), generate(["(1 2)", "(1 2 3)"], 4))
-        assert got.order() == 3
-        assert got.contains("(1 2 3)")
