@@ -75,10 +75,12 @@ def sorted_elements(G: PermGroup, caps: Caps | None = None) -> tuple[RawPerm, ..
 
 @dataclass(frozen=True)
 class ConjClass:
-    """One conjugacy class; the representative is the least element."""
+    """One conjugacy class; the representative is the least element, and
+    `order` is the element order every member shares."""
 
     rep: Permutation
     members: frozenset[RawPerm]
+    order: int
 
     @property
     def size(self) -> int:
@@ -108,16 +110,15 @@ def conjugacy_classes(G: PermGroup, caps: Caps | None = None) -> list[ConjClass]
                         nxt.append(y)
             frontier = nxt
         seen |= members
-        classes.append(ConjClass(Permutation(start), frozenset(members)))
+        classes.append(ConjClass(Permutation(start), frozenset(members), _order(start)))
     G._cache["conj_classes"] = classes
     return classes
 
 
 def center(G: PermGroup, caps: Caps | None = None) -> PermGroup:
-    gens = G.raw_gens()
-    members = [z for z in sorted_elements(G, caps)
-               if all(_compose(z, g) == _compose(g, z) for g in gens)]
-    return group_from_elements(G.degree, members)
+    """The centre: the elements whose conjugacy class is a singleton."""
+    return group_from_elements(G.degree, [cls.rep.images for cls in conjugacy_classes(G, caps)
+                                          if cls.size == 1])
 
 
 def normal_closure(G: PermGroup, seeds: Iterable) -> PermGroup:
@@ -376,27 +377,26 @@ def quotient(G: PermGroup, N: PermGroup) -> tuple[PermGroup, GroupHom]:
 # Isomorphism
 
 
-def element_order_histogram(G: PermGroup, caps: Caps | None = None) -> dict[int, int]:
-    hist: dict[int, int] = {}
-    for x in G.raw_elements(caps):
-        o = _order(x)
-        hist[o] = hist.get(o, 0) + 1
-    return hist
-
-
 def fingerprint(G: PermGroup, caps: Caps | None = None) -> tuple:
-    """An isomorphism invariant: never asserts isomorphism, only refutes it."""
+    """An isomorphism invariant: never asserts isomorphism, only refutes it.
+
+    (order, element-order histogram, class sizes, centre order, derived
+    series orders); all but the last are read off the conjugacy classes.
+    """
     cached = G._cache.get("fingerprint")
     if cached is not None:
         return cached
     caps_eff = effective_caps(caps)
     if G.order() > caps_eff.iso_cap:
         raise CapExceeded(f"order {G.order()} exceeds iso cap {caps_eff.iso_cap}")
-    hist = tuple(sorted(element_order_histogram(G, caps).items()))
-    class_sizes = tuple(sorted(c.size for c in conjugacy_classes(G, caps)))
-    z = center(G, caps).order()
+    classes = conjugacy_classes(G, caps)
+    hist: dict[int, int] = {}
+    for cls in classes:
+        hist[cls.order] = hist.get(cls.order, 0) + cls.size
+    class_sizes = tuple(sorted(cls.size for cls in classes))
+    z = sum(1 for cls in classes if cls.size == 1)
     derived = tuple(s.order() for s in derived_series(G))
-    fp = (G.order(), hist, class_sizes, z, derived)
+    fp = (G.order(), tuple(sorted(hist.items())), class_sizes, z, derived)
     G._cache["fingerprint"] = fp
     return fp
 
@@ -406,7 +406,6 @@ class IsoCertificate:
     """A checkable witness that source ≅ target."""
 
     forward: GroupHom
-    note: tuple
 
     @property
     def source(self) -> PermGroup:
@@ -424,12 +423,13 @@ def _generating_sequence(G: PermGroup, caps: Caps | None = None
                          ) -> tuple[list[RawPerm], list[int]]:
     """A short generating sequence x_0, x_1, …, greedily taking elements of
     large order, and the orders of its prefix subgroups ⟨x_0..x_k⟩."""
-    ordered = sorted(G.raw_elements(caps), key=lambda x: (-_order(x), x))
+    ordered = sorted((-cls.order, x) for cls in conjugacy_classes(G, caps)
+                     for x in cls.members)
     chain = StabChain(G.degree)
     seq: list[RawPerm] = []
     orders: list[int] = []
     target = G.order()
-    for x in ordered:
+    for _, x in ordered:
         if chain.order() == target:
             break
         if chain.extend(x):
@@ -443,11 +443,11 @@ def isomorphic(G: PermGroup, H: PermGroup,
     """An isomorphism certificate, or None; fingerprint rejection then backtracking.
 
     Backtracks over images y_k in H of a generating sequence x_k of G, each drawn
-    in a fixed order (class by class, each class sorted) from the elements whose
-    order and class size match x_k.  A node is kept only when x_i ↦ y_i (i ≤ k)
-    extends to an isomorphism ⟨x_0..x_k⟩ → ⟨y_0..y_k⟩.  Every prefix of an
-    isomorphism passes, so the first success in that order is returned and
-    certificates are deterministic.
+    in a fixed order (class by class, each class sorted) from the classes of H
+    with the element order and size of x_k's class.  A node is kept only when
+    x_i ↦ y_i (i ≤ k) extends to an isomorphism ⟨x_0..x_k⟩ → ⟨y_0..y_k⟩.  Every
+    prefix of an isomorphism passes, so the first success in that order is
+    returned and certificates are deterministic.
     """
     caps_eff = effective_caps(caps)
     if G.order() != H.order():
@@ -455,28 +455,22 @@ def isomorphic(G: PermGroup, H: PermGroup,
     n = G.order()
     if n > caps_eff.iso_cap:
         raise CapExceeded(f"order {n} exceeds iso cap {caps_eff.iso_cap}")
-    fpG, fpH = fingerprint(G, caps), fingerprint(H, caps)
-    if fpG != fpH:
+    if fingerprint(G, caps) != fingerprint(H, caps):
         return None
     if n == 1:
         return IsoCertificate(GroupHom(G, H, [], map_fn=lambda raw: _identity(H.degree),
-                                       kernel=trivial_group(G.degree)), (fpG, fpH))
+                                       kernel=trivial_group(G.degree)))
 
     seq, partial_orders = _generating_sequence(G, caps)
 
-    g_class_of: dict[RawPerm, int] = {}
-    for cls in conjugacy_classes(G, caps):
-        for m in cls.members:
-            g_class_of[m] = cls.size
-    h_classes = conjugacy_classes(H, caps)
     h_by_key: dict[tuple[int, int], list[RawPerm]] = {}
-    for cls in h_classes:
-        key = (cls.rep.order(), cls.size)
-        h_by_key.setdefault(key, []).extend(sorted(cls.members))
+    for cls in conjugacy_classes(H, caps):
+        h_by_key.setdefault((cls.order, cls.size), []).extend(sorted(cls.members))
+    g_classes = conjugacy_classes(G, caps)
     buckets = []
     for x in seq:
-        key = (_order(x), g_class_of[x])
-        buckets.append(h_by_key.get(key, []))
+        cls = next(c for c in g_classes if x in c.members)
+        buckets.append(h_by_key.get((cls.order, cls.size), []))
         if not buckets[-1]:
             return None
 
@@ -500,7 +494,7 @@ def isomorphic(G: PermGroup, H: PermGroup,
         return None
     gen_images = [Permutation(table[g]) for g in G.raw_gens()]
     hom = GroupHom(G, H, gen_images, kernel=trivial_group(G.degree))
-    return IsoCertificate(hom, (fpG, fpH))
+    return IsoCertificate(hom)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,15 @@ def naive_normal_closure(G: frozenset[RawPerm], seeds: list[RawPerm],
     return naive_closure(conj, degree)
 
 
+def naive_element_order(x: RawPerm) -> int:
+    """The least k ≥ 1 with x^k the identity, by repeated multiplication."""
+    ident = tuple(range(len(x)))
+    k, y = 1, x
+    while y != ident:
+        k, y = k + 1, compose(y, x)
+    return k
+
+
 def naive_center(G: frozenset[RawPerm]) -> frozenset[RawPerm]:
     return frozenset(z for z in G if all(compose(z, g) == compose(g, z) for g in G))
 

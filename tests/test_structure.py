@@ -1,6 +1,7 @@
 """Structural analysis: classes, lattices, radicals, quotients, isomorphism."""
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -170,6 +171,22 @@ def generated_group(draw):
     return degree, draw(st.lists(perm, min_size=1, max_size=3))
 
 
+class TestClassInvariants:
+    @given(generated_group())
+    @settings(max_examples=40, deadline=None)
+    def test_orders_centre_and_fingerprint_match_oracles(self, case):
+        degree, gens = case
+        G = generate(gens, degree)
+        brute_centre = oracles.naive_center(oracles.naive_closure(gens, degree))
+        for cls in conjugacy_classes(G):
+            assert {oracles.naive_element_order(x) for x in cls.members} == {cls.order}
+        assert center(G).element_set() == brute_centre
+        hist = Counter(oracles.naive_element_order(x) for x in G.element_set())
+        _, fp_hist, _, fp_centre, _ = fingerprint(G)
+        assert fp_hist == tuple(sorted(hist.items()))
+        assert fp_centre == len(brute_centre)
+
+
 class TestNormalLattice:
     def test_s4_lattice(self):
         lat = normal_subgroups(S4())
@@ -336,13 +353,13 @@ class TestIsomorphism:
         G = S3()
         bad_images = [Permutation.from_cycles("(1 2)", 3),
                       Permutation.from_cycles("(1 2)", 3)]
-        bad = IsoCertificate(GroupHom(G, G, bad_images), (None, None))
+        bad = IsoCertificate(GroupHom(G, G, bad_images))
         assert not bad.verify()
 
     def test_verify_rejects_images_outside_target(self):
         # ⟨(2 3)⟩ has the target's order, but (2 3) is not in ⟨(1 2)⟩.
         stray = IsoCertificate(GroupHom(generate(["(1 2)"], 2), generate(["(1 2)"], 3),
-                                        [Permutation.from_cycles("(2 3)", 3)]), (None, None))
+                                        [Permutation.from_cycles("(2 3)", 3)]))
         assert not stray.verify()
 
     def test_fingerprints_separate_order_eight_groups(self):
