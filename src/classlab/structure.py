@@ -7,7 +7,7 @@ predicates, isomorphism certificates, and exhaustive subgroup enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Any, Callable, Iterable
 
 from .config import Caps, effective_caps
 from .errors import (
@@ -249,11 +249,10 @@ class NormalLattice:
 
     A normal subgroup is a union of conjugacy classes, so a member is
     identified exactly by its mask: bit k is set when it contains the k-th
-    class of `conjugacy_classes(parent)`.  The meet of members is the AND of
+    class of the group's `conjugacy_classes`.  The meet of members is the AND of
     their masks.
     """
 
-    parent: PermGroup
     members: list[PermGroup]
     maximal: list[bool]
     masks: list[int]
@@ -265,7 +264,7 @@ class NormalLattice:
         return [m for m, flag in zip(self.members, self.maximal) if flag]
 
     def meet(self, *indices: int) -> int:
-        """Index of the intersection of the given members (the parent for none)."""
+        """Index of the intersection of the given members (the whole group for none)."""
         mask = self.masks[-1]
         for i in indices:
             mask &= self.masks[i]
@@ -336,7 +335,7 @@ def normal_subgroups(G: PermGroup, caps: Caps | None = None) -> NormalLattice:
     maximal = [mask != full and not any(other not in (full, mask) and mask & ~other == 0
                                         for other in masks)
                for mask in masks]
-    lattice = NormalLattice(G, [m for m, _ in ranked], maximal, masks)
+    lattice = NormalLattice([m for m, _ in ranked], maximal, masks)
     G._cache["normal_lattice"] = lattice
     return lattice
 
@@ -438,23 +437,62 @@ def _generating_sequence(G: PermGroup, caps: Caps | None = None
     return seq, orders
 
 
+def _first_leaf(levels: list[list[RawPerm]], root: Any,
+                extend: Callable[[list[RawPerm], Any, RawPerm], Any]
+                ) -> tuple[list[RawPerm], Any] | None:
+    """Depth-first search picking one element of each level, in level order.
+
+    extend(picks, state, x) is the state of the node that appends x to the
+    picks of a node with `state` (`root` for the empty prefix), or None to
+    prune it.  Returns (picks, state) for the first node kept at the last
+    level, or None.  The stack is explicit, so no closure refers to itself.
+    """
+    states = [root]
+    picks: list[RawPerm] = []
+    pending = [iter(levels[0])]
+    while pending:
+        for x in pending[-1]:
+            state = extend(picks, states[-1], x)
+            if state is not None:
+                break
+        else:
+            pending.pop()
+            states.pop()
+            if picks:
+                picks.pop()
+            continue
+        picks.append(x)
+        if len(picks) == len(levels):
+            return picks, state
+        states.append(state)
+        pending.append(iter(levels[len(picks)]))
+    return None
+
+
 def isomorphic(G: PermGroup, H: PermGroup,
                caps: Caps | None = None) -> IsoCertificate | None:
     """An isomorphism certificate, or None; fingerprint rejection then backtracking.
 
     Backtracks over images y_k in H of a generating sequence x_k of G, each drawn
     in a fixed order (class by class, each class sorted) from the classes of H
-    with the element order and size of x_k's class.  A node is kept only when
-    x_i ↦ y_i (i ≤ k) extends to an isomorphism ⟨x_0..x_k⟩ → ⟨y_0..y_k⟩.  Every
-    prefix of an isomorphism passes, so the first success in that order is
-    returned and certificates are deterministic.
+    with the element order and size of x_k's class.  A candidate y_k is tried
+    only when every y_i·y_k (i < k) has in H the class key (element order, class
+    size) of x_i·x_k in G, and a node is kept only when x_i ↦ y_i (i ≤ k)
+    extends to an isomorphism ⟨x_0..x_k⟩ → ⟨y_0..y_k⟩.  An isomorphism maps
+    x_i·x_k to y_i·y_k and keeps class keys, so every prefix of one passes both
+    tests; the first success in that order is returned and certificates are
+    deterministic.
     """
-    caps_eff = effective_caps(caps)
+    cap = effective_caps(caps).iso_cap
+    # A known order over the cap raises before the other group's chain is built.
+    for X in (G, H):
+        if X._chain is not None and X.order() > cap:
+            raise CapExceeded(f"order {X.order()} exceeds iso cap {cap}")
     if G.order() != H.order():
         return None
     n = G.order()
-    if n > caps_eff.iso_cap:
-        raise CapExceeded(f"order {n} exceeds iso cap {caps_eff.iso_cap}")
+    if n > cap:
+        raise CapExceeded(f"order {n} exceeds iso cap {cap}")
     if fingerprint(G, caps) != fingerprint(H, caps):
         return None
     if n == 1:
@@ -463,35 +501,41 @@ def isomorphic(G: PermGroup, H: PermGroup,
 
     seq, partial_orders = _generating_sequence(G, caps)
 
+    # A class key is (element order, class size).
+    h_key: dict[RawPerm, tuple[int, int]] = {}
     h_by_key: dict[tuple[int, int], list[RawPerm]] = {}
     for cls in conjugacy_classes(H, caps):
-        h_by_key.setdefault((cls.order, cls.size), []).extend(sorted(cls.members))
+        key = (cls.order, cls.size)
+        h_key.update(dict.fromkeys(cls.members, key))
+        h_by_key.setdefault(key, []).extend(sorted(cls.members))
     g_classes = conjugacy_classes(G, caps)
-    buckets = []
-    for x in seq:
+
+    def g_key(x: RawPerm) -> tuple[int, int]:
         cls = next(c for c in g_classes if x in c.members)
-        buckets.append(h_by_key.get((cls.order, cls.size), []))
-        if not buckets[-1]:
+        return cls.order, cls.size
+
+    buckets = [h_by_key.get(g_key(x), []) for x in seq]
+    if not all(buckets):
+        return None
+    # needs[k][i] is the class key of x_i·x_k in G.
+    needs = [[g_key(_compose(x, seq[k])) for x in seq[:k]] for k in range(len(seq))]
+
+    def extend(images: list[RawPerm], _, y: RawPerm) -> dict[RawPerm, RawPerm] | None:
+        k = len(images)
+        for prev, key in zip(images, needs[k]):
+            if h_key[_compose(prev, y)] != key:
+                return None
+        # Keys lie in ⟨x_0..x_k⟩, so the limit is never reached.
+        table = induced_map(seq[:k + 1], images + [y], G.degree, H.degree,
+                            partial_orders[k] + 1)
+        if table is None or len(set(table.values())) != partial_orders[k]:
             return None
+        return table
 
-    def dfs(k: int, images: list[RawPerm]) -> dict[RawPerm, RawPerm] | None:
-        for cand in buckets[k]:
-            trial = images + [cand]
-            # Keys lie in ⟨x_0..x_k⟩, so the limit is never reached.
-            table = induced_map(seq[:k + 1], trial, G.degree, H.degree,
-                                partial_orders[k] + 1)
-            if table is None or len(set(table.values())) != partial_orders[k]:
-                continue
-            if k + 1 == len(seq):
-                return table
-            found = dfs(k + 1, trial)
-            if found is not None:
-                return found
+    leaf = _first_leaf(buckets, None, extend)
+    if leaf is None:
         return None
-
-    table = dfs(0, [])
-    if table is None:
-        return None
+    table = leaf[1]
     gen_images = [Permutation(table[g]) for g in G.raw_gens()]
     hom = GroupHom(G, H, gen_images, kernel=trivial_group(G.degree))
     return IsoCertificate(hom)
@@ -747,22 +791,18 @@ def complement_exists(G: PermGroup, N: PermGroup,
         if space > 2_000_000:
             raise CapExceeded("complement search space too large")
 
-    def dfs(k: int, chain: StabChain, picked: list[RawPerm]) -> PermGroup | None:
-        if chain.order() > q_order:
+    def extend(picked: list[RawPerm], chain: StabChain, x: RawPerm) -> StabChain | None:
+        trial = chain.copy()
+        trial.extend(x)
+        last = len(picked) + 1 == len(fibers)
+        if trial.order() > q_order or last and trial.order() != q_order:
             return None
-        if k == len(fibers):
-            if chain.order() != q_order:
-                return None
-            K = PermGroup(G.degree, [Permutation(x) for x in picked])
-            K._chain = chain
-            return K
-        for x in fibers[k]:
-            trial = chain.copy()
-            trial.extend(x)
-            if trial.order() <= q_order:
-                result = dfs(k + 1, trial, picked + [x])
-                if result is not None:
-                    return result
-        return None
+        return trial
 
-    return dfs(0, StabChain(G.degree), [])
+    leaf = _first_leaf(fibers, StabChain(G.degree), extend)
+    if leaf is None:
+        return None
+    picked, chain = leaf
+    K = PermGroup(G.degree, [Permutation(x) for x in picked])
+    K._chain = chain
+    return K

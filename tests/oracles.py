@@ -165,3 +165,78 @@ def naive_isomorphic(G: frozenset[RawPerm], H: frozenset[RawPerm],
         if len(set(table.values())) == len(H) and naive_is_homomorphism(table):
             return table
     return None
+
+
+def naive_classes(G: frozenset[RawPerm]) -> list[frozenset[RawPerm]]:
+    """Conjugacy classes ordered by their least element, by conjugating by all of G."""
+    classes, seen = [], set()
+    for x in sorted(G):
+        if x not in seen:
+            cls = frozenset(compose(g, compose(x, inverse(g))) for g in G)
+            seen |= cls
+            classes.append(cls)
+    return classes
+
+
+def _edge_checked_table(src_gens: list[RawPerm], img_gens: list[RawPerm],
+                        degree_s: int, degree_t: int) -> dict[RawPerm, RawPerm] | None:
+    """The spanning-tree table of gen ↦ image, or None unless every Cayley-graph
+    edge s·x ↦ t·f(x) agrees with it."""
+    table = naive_hom_table(src_gens, img_gens, degree_s, degree_t)
+    for x, fx in table.items():
+        for s, t in zip(src_gens, img_gens):
+            if table[compose(s, x)] != compose(t, fx):
+                return None
+    return table
+
+
+def _reference_dfs(seq, prefix_orders, buckets, degree_g, degree_h, images):
+    k = len(images)
+    for y in buckets[k]:
+        trial = images + [y]
+        table = _edge_checked_table(seq[:k + 1], trial, degree_g, degree_h)
+        if table is None or len(set(table.values())) != prefix_orders[k]:
+            continue
+        if k + 1 == len(seq):
+            return table
+        found = _reference_dfs(seq, prefix_orders, buckets, degree_g, degree_h, trial)
+        if found is not None:
+            return found
+    return None
+
+
+def reference_isomorphism(G: frozenset[RawPerm], H: frozenset[RawPerm],
+                          degree_g: int, degree_h: int) -> dict[RawPerm, RawPerm] | None:
+    """The first isomorphism G → H, as an element table, in the fixed candidate
+    order of `structure.isomorphic`, found by backtracking with no pre-filter.
+
+    The generating sequence takes elements greedily in (−order, element) order;
+    x_k's candidates are the members of H's classes with the element order and
+    class size of x_k's class, class by class in order of least element, each
+    class sorted.  A node is kept when its prefix table is an edge-checked
+    bijection onto ⟨y_0..y_k⟩.
+    """
+    if len(G) != len(H):
+        return None
+    if len(G) == 1:
+        return {tuple(range(degree_g)): tuple(range(degree_h))}
+
+    g_classes, h_classes = naive_classes(G), naive_classes(H)
+
+    def keys(classes: list[frozenset[RawPerm]]) -> dict[RawPerm, tuple[int, int]]:
+        return {x: (naive_element_order(x), len(cls)) for cls in classes for x in cls}
+
+    g_key, h_key = keys(g_classes), keys(h_classes)
+    seq: list[RawPerm] = []
+    prefix_orders: list[int] = []
+    span = naive_closure([], degree_g)
+    for _, x in sorted((-naive_element_order(x), x) for x in G):
+        if len(span) == len(G):
+            break
+        if x not in span:
+            seq.append(x)
+            span = naive_closure(seq, degree_g)
+            prefix_orders.append(len(span))
+    buckets = [[y for cls in h_classes for y in sorted(cls) if h_key[y] == g_key[x]]
+               for x in seq]
+    return _reference_dfs(seq, prefix_orders, buckets, degree_g, degree_h, [])

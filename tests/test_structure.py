@@ -1,13 +1,18 @@
 """Structural analysis: classes, lattices, radicals, quotients, isomorphism."""
+import ast
+import gc
 import hashlib
 import json
+import weakref
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from classlab.errors import FalsificationAlarm, InvalidInput, SubgroupLimitExceeded
+from classlab.config import Caps
+from classlab.errors import CapExceeded, FalsificationAlarm, InvalidInput, SubgroupLimitExceeded
 from classlab.perm import GroupHom, Permutation, coset_action, generate, regular_representation
 from classlab.structure import (
     IsoCertificate,
@@ -226,7 +231,7 @@ class TestNormalLattice:
 
     def test_meet_outside_the_lattice_raises(self):
         G = S3()
-        lat = NormalLattice(G, [G] * 3, [False] * 3, [0b011, 0b110, 0b111])
+        lat = NormalLattice([G] * 3, [False] * 3, [0b011, 0b110, 0b111])
         with pytest.raises(InvalidInput, match="lattice is not intersection-closed"):
             lat.meet(0, 1)
 
@@ -435,6 +440,76 @@ class TestIsomorphism:
         regular = regular_representation(G).image()
         assert regular.degree == 60
         assert self.certificate_digest(G, regular) == self.PINNED_CERTIFICATES["A5-regular"]
+
+    @given(generated_group(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_conjugated_copy_matches_unfiltered_reference(self, case, data):
+        degree, gens = case
+        pi = data.draw(st.permutations(list(range(degree))).map(tuple), label="pi")
+        moved = [oracles.compose(pi, oracles.compose(g, oracles.inverse(pi))) for g in gens]
+        G, H = generate(gens, degree), generate(moved, degree)
+        cert = isomorphic(G, H)
+        table = oracles.reference_isomorphism(G.element_set(), H.element_set(),
+                                              degree, degree)
+        assert cert is not None and table is not None
+        assert [p.images for p in cert.forward.gen_images] == [table[g] for g in G.raw_gens()]
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_known_order_over_the_cap_raises_before_the_other_chain(self, first):
+        caps = Caps(iso_cap=100)
+        known = parse_group_spec("S5")
+        assert known.order() == 120
+        other = parse_group_spec("A5")
+        assert other._chain is None
+        # Orders differ, so this is None when neither order exceeds the cap.
+        pair = (known, other) if first else (other, known)
+        with pytest.raises(CapExceeded, match="order 120 exceeds iso cap 100"):
+            isomorphic(*pair, caps)
+        assert other._chain is None
+
+
+class TestNoReferenceCycles:
+    """A group dies with its last strong reference, without the cycle collector."""
+
+    CASES = {
+        "isomorphic": (lambda: (S4(), S4()), isomorphic),
+        # fingerprint-equal and not isomorphic, so the search runs to exhaustion
+        "isomorphic-exhausted": (
+            lambda: (parse_group_spec("perm8[(1 2 3 4);(2 4)(5 6 7 8)]"),
+                     parse_group_spec("perm10[(1 2 3 4)(5 6 7 8);(1 5 3 7)(2 8 4 6);(9 10)]")),
+            isomorphic),
+        "normal_subgroups": (lambda: (S4(),), normal_subgroups),
+        "complement_exists": (lambda: (S4(), V4()), complement_exists),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_groups_die_without_collection(self, case):
+        make, call = self.CASES[case]
+        gc.disable()
+        try:
+            groups = make()
+            refs = [weakref.ref(X) for X in groups]
+            call(*groups)
+            del groups
+            assert [r() for r in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
+
+    def test_no_nested_function_refers_to_itself(self):
+        # Such a function holds itself through its own closure cell, so the
+        # cycle keeps everything it closes over alive until a collection.
+        src = Path(__file__).resolve().parent.parent / "src" / "classlab"
+        found = []
+        for path in sorted(src.glob("*.py")):
+            for outer in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(outer, ast.FunctionDef):
+                    continue
+                for inner in ast.walk(outer):
+                    if (inner is not outer and isinstance(inner, ast.FunctionDef)
+                            and any(isinstance(n, ast.Name) and n.id == inner.name
+                                    for n in ast.walk(inner))):
+                        found.append(f"{path.name}:{inner.lineno} {inner.name}")
+        assert found == []
 
 
 class TestSubgroups:
