@@ -40,10 +40,11 @@ from .universe import Catalog, alternating, parse_group_spec
 
 
 class ClassExpr:
-    """Base for class-expression nodes; subclasses are frozen dataclasses."""
+    """Base for class-expression nodes; subclasses are frozen dataclasses.
 
-    def key(self) -> tuple:
-        raise NotImplementedError
+    `text()` is canonical and re-parsable, so equal texts denote the same
+    class; `ClassEval` keys its memo by it.
+    """
 
     def text(self) -> str:
         raise NotImplementedError
@@ -55,9 +56,6 @@ class ClassExpr:
 def _atom(kind: str):
     class Node(ClassExpr):
         __slots__ = ()
-
-        def key(self):
-            return (kind,)
 
         def text(self):
             return kind
@@ -89,9 +87,6 @@ class PGroup(ClassExpr):
         if self.p < 2 or _prime_factors(self.p) != [self.p]:
             raise InvalidInput(f"{self.p} is not prime")
 
-    def key(self):
-        return ("p", self.p)
-
     def text(self):
         return f"p({self.p})"
 
@@ -105,9 +100,6 @@ class Pi(ClassExpr):
             if p < 2 or _prime_factors(p) != [p]:
                 raise InvalidInput(f"{p} is not prime")
 
-    def key(self):
-        return ("pi", tuple(sorted(set(self.primes))))
-
     def text(self):
         return "pi({})".format(",".join(str(p) for p in sorted(set(self.primes))))
 
@@ -119,9 +111,6 @@ class OrderAtMost(ClassExpr):
     def __post_init__(self):
         if self.n < 1:
             raise InvalidInput(f"le({self.n}) needs n >= 1")
-
-    def key(self):
-        return ("le", self.n)
 
     def text(self):
         return f"le({self.n})"
@@ -137,9 +126,6 @@ class AltGE(ClassExpr):
         if self.n < 1:
             raise InvalidInput(f"altge({self.n}) needs n >= 1")
 
-    def key(self):
-        return ("altge", self.n)
-
     def text(self):
         return f"altge({self.n})"
 
@@ -147,9 +133,6 @@ class AltGE(ClassExpr):
 @dataclass(frozen=True)
 class FiniteSet(ClassExpr):
     specs: tuple[str, ...]
-
-    def key(self):
-        return ("set", self.specs)
 
     def text(self):
         return "set({})".format(",".join(self.specs))
@@ -160,9 +143,6 @@ class Union(ClassExpr):
     a: ClassExpr
     b: ClassExpr
 
-    def key(self):
-        return ("union", self.a.key(), self.b.key())
-
     def text(self):
         return f"union({self.a.text()},{self.b.text()})"
 
@@ -172,9 +152,6 @@ class Intersect(ClassExpr):
     a: ClassExpr
     b: ClassExpr
 
-    def key(self):
-        return ("inter", self.a.key(), self.b.key())
-
     def text(self):
         return f"inter({self.a.text()},{self.b.text()})"
 
@@ -183,9 +160,6 @@ class Intersect(ClassExpr):
 class Dual(ClassExpr):
     a: ClassExpr
 
-    def key(self):
-        return ("dual", self.a.key())
-
     def text(self):
         return f"dual({self.a.text()})"
 
@@ -193,9 +167,6 @@ class Dual(ClassExpr):
 @dataclass(frozen=True)
 class Hat(ClassExpr):
     a: ClassExpr
-
-    def key(self):
-        return ("hat", self.a.key())
 
     def text(self):
         return f"hat({self.a.text()})"
@@ -209,9 +180,6 @@ class DualIter(ClassExpr):
     def __post_init__(self):
         if self.k < 0:
             raise InvalidInput("dual iteration count must be >= 0")
-
-    def key(self):
-        return ("dualn", self.a.key(), self.k)
 
     def text(self):
         return f"dualn({self.a.text()},{self.k})"
@@ -447,7 +415,7 @@ class ClassEval:
     # -- membership ------------------------------------------------------
 
     def member(self, C: ClassExpr, G: PermGroup) -> bool:
-        key = (C.key(), self.canon_id(G))
+        key = (C.text(), self.canon_id(G))
         hit = self._memo.get(key)
         if hit is not None:
             return hit
@@ -539,7 +507,7 @@ class ClassEval:
         assert _above is None or G.order() < _above, "series recursion must descend"
         if G.order() == 1:
             return [G]
-        hat_key = (Hat(C).key(), self.canon_id(G))
+        hat_key = (Hat(C).text(), self.canon_id(G))
         if self._memo.get(hat_key) is False:
             return None
         lat = self.lattice(G)

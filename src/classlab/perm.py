@@ -795,7 +795,7 @@ class WreathProduct:
 
     def top_lift(self, h) -> Permutation:
         """The canonical lift of h ∈ Gn: permute blocks, act naturally on the tail."""
-        raw = h.images if isinstance(h, Permutation) else tuple(h)
+        raw = self.gn._coerce(h).images
         if not self.gn.contains_raw(raw):
             raise InvalidInput("top_lift argument is not in the top group")
         return Permutation(_lift_blocks(self.coset_hom.apply_raw(raw), self.g0.degree, raw))

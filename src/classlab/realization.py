@@ -32,7 +32,6 @@ from .perm import (
     _restrict,
     coset_action,
     direct_power,
-    group_from_elements,
     identity_hom,
     point_stabilizer,
     regular_representation,
@@ -108,8 +107,10 @@ def brute_normalizer(parent: PermGroup, H: PermGroup,
 
     If r·H·r⁻¹ = H then every element of rH normalizes H, and if r does not
     then none does; so testing one representative of each coset decides every
-    element of the parent, which is never enumerated.  The result is the
-    group of the union of the normalizing cosets.  Raises InvalidInput unless
+    element of the parent, which is never enumerated.  The union of the
+    normalizing cosets is ⟨H, reps⟩, so N is H's chain grown by the normalizing
+    representatives, with H's generators followed by the representatives that
+    grew it; no element of H is listed.  Raises InvalidInput unless
     H ≤ parent, and CapExceeded when |parent| exceeds the enumeration cap.
     """
     cap = effective_caps(caps).enum_cap
@@ -118,11 +119,12 @@ def brute_normalizer(parent: PermGroup, H: PermGroup,
         raise CapExceeded(f"order {n} exceeds enumeration cap {cap}")
     reps, _, _ = _coset_index(parent, H)
     hgens = H.raw_gens()
-    normalizing = [r for r in reps
-                   if all(H.contains_raw(_conjugate(r, h)) for h in hgens)]
-    h_elements = H.raw_elements(caps)
-    return group_from_elements(
-        parent.degree, [_compose(r, h) for r in normalizing for h in h_elements])
+    chain = H.chain().copy()
+    grown = [r for r in reps
+             if all(H.contains_raw(_conjugate(r, h)) for h in hgens) and chain.extend(r)]
+    N = PermGroup(parent.degree, hgens + grown)
+    N._chain = chain
+    return N
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +257,6 @@ def build_realization(G: PermGroup, G0: PermGroup, Gn: PermGroup,
     H = PermGroup(Gamma.degree, [Permutation(g) for g in h_gens])
     H._chain = StabChain.from_blocks(
         Gamma.degree, [(0, H0.chain())] + [(i, G0.chain()) for i in range(1, N)])
-    if H.order() != H0.order() * G0.order() ** (N - 1):
-        raise FalsificationAlarm(
-            "order arithmetic for H failed",
-            witness={"h_order": H.order(), "h0_order": H0.order(),
-                     "g0_order": G0.order(), "n": N})
 
     lift_gens = [wp.top_lift(embed.apply(g)) for g in G.generators]
     M = H.extended(lift_gens)
@@ -455,8 +452,7 @@ def split_check(G: PermGroup, N: PermGroup,
 
 def conjugation_automorphism(G: PermGroup, s) -> GroupHom:
     """The automorphism x ↦ sxs⁻¹ of G, for s normalizing G (s need not lie in G)."""
-    raw = s.images if isinstance(s, Permutation) else (
-        s if isinstance(s, tuple) else Permutation.from_cycles(s, G.degree).images)
+    raw = G._coerce(s).images
     images = []
     for g in G.raw_gens():
         img = _conjugate(raw, g)

@@ -49,18 +49,6 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def _coerce_raws(G: PermGroup, seeds: Iterable) -> list[RawPerm]:
-    out = []
-    for s in seeds:
-        if isinstance(s, Permutation):
-            out.append(s.images)
-        elif isinstance(s, tuple):
-            out.append(s)
-        else:
-            out.append(Permutation.from_cycles(str(s), G.degree).images)
-    return out
-
-
 def sorted_elements(G: PermGroup, caps: Caps | None = None) -> tuple[RawPerm, ...]:
     cached = G._cache.get("sorted_elements")
     if cached is None:
@@ -123,7 +111,7 @@ def center(G: PermGroup, caps: Caps | None = None) -> PermGroup:
 
 def normal_closure(G: PermGroup, seeds: Iterable) -> PermGroup:
     """The smallest normal subgroup of G containing the seed elements."""
-    raws = _coerce_raws(G, seeds)
+    raws = [G._coerce(s).images for s in seeds]
     target = G.order()
     chain = StabChain(G.degree)
     gens: list[RawPerm] = []
@@ -231,12 +219,7 @@ def is_simple(G: PermGroup, caps: Caps | None = None) -> bool:
         return True
     if is_abelian(G):
         return False
-    for cls in conjugacy_classes(G, caps):
-        if cls.rep.is_identity():
-            continue
-        if normal_closure(G, [cls.rep]).order() != n:
-            return False
-    return True
+    return len(normal_subgroups(G, caps).members) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -341,20 +324,11 @@ def normal_subgroups(G: PermGroup, caps: Caps | None = None) -> NormalLattice:
 
 
 def baer_radical(G: PermGroup, caps: Caps | None = None) -> PermGroup:
-    """The intersection of all maximal normal subgroups of a nontrivial group.
-
-    With several maximal members it is built from the classes in their meet.
-    """
+    """The intersection of all maximal normal subgroups of a nontrivial group."""
     if G.order() == 1:
         raise InvalidInput("the radical is defined only for nontrivial groups")
     lat = normal_subgroups(G, caps)
-    maximal = [i for i, flag in enumerate(lat.maximal) if flag]
-    if len(maximal) == 1:
-        return lat.members[maximal[0]]
-    mask = lat.masks[lat.meet(*maximal)]
-    return group_from_elements(G.degree, [
-        x for k, cls in enumerate(conjugacy_classes(G, caps)) if mask >> k & 1
-        for x in cls.members])
+    return lat.members[lat.meet(*(i for i, flag in enumerate(lat.maximal) if flag))]
 
 
 def quotient(G: PermGroup, N: PermGroup) -> tuple[PermGroup, GroupHom]:
@@ -688,9 +662,9 @@ def radical_factorization(G: PermGroup, caps: Caps | None = None) -> RadicalFact
     if G.order() == 1:
         raise InvalidInput("radical factorization requires a nontrivial group")
     lat = normal_subgroups(G, caps)
-    radical = baer_radical(G, caps)
     maximal = [i for i, flag in enumerate(lat.maximal) if flag]
     rad = lat.meet(*maximal)
+    radical = lat.members[rad]
 
     picked: list[int] = []
     current = lat.meet()

@@ -175,7 +175,6 @@ def test_le_and_altge_require_positive_n():
 
 
 def test_pi_key_sorts_and_dedups():
-    assert parse_class_expr("pi(3,2,3)").key() == ("pi", (2, 3))
     assert parse_class_expr("pi(3,2,3)").text() == "pi(2,3)"
 
 

@@ -253,6 +253,7 @@ class TestNormalLattice:
         assert lat.maximal == [s in maximal for s in sets]
         if len(elements) > 1:
             assert baer_radical(G).element_set() == frozenset.intersection(*maximal)
+        assert is_simple(G) == (len(naive) == 2)
 
 
 class TestRadical:
