@@ -60,6 +60,8 @@ def _common_parser() -> argparse.ArgumentParser:
                         help="largest order accepted by isomorphism search")
     common.add_argument("--subgroup-limit", type=int, metavar="N",
                         help="abort subgroup enumeration beyond this many subgroups")
+    common.add_argument("--coord-cap", type=int, metavar="N",
+                        help="largest coordinate count N of a wreath product")
     return common
 
 
@@ -141,13 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _caps_from_args(args) -> Caps:
     caps = caps_from_env(DEFAULT_CAPS)
-    updates = {}
-    if getattr(args, "enum_cap", None) is not None:
-        updates["enum_cap"] = args.enum_cap
-    if getattr(args, "iso_cap", None) is not None:
-        updates["iso_cap"] = args.iso_cap
-    if getattr(args, "subgroup_limit", None) is not None:
-        updates["subgroup_limit"] = args.subgroup_limit
+    updates = {field_name: getattr(args, field_name)
+               for field_name in ("enum_cap", "iso_cap", "subgroup_limit", "coord_cap")
+               if getattr(args, field_name, None) is not None}
     for field_name, value in updates.items():
         if value <= 0:
             raise InvalidInput(f"--{field_name.replace('_', '-')} must be positive")

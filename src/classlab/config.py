@@ -38,6 +38,7 @@ _ENV_FIELDS = {
     "CLASSLAB_ENUM_CAP": "enum_cap",
     "CLASSLAB_ISO_CAP": "iso_cap",
     "CLASSLAB_SUBGROUP_LIMIT": "subgroup_limit",
+    "CLASSLAB_COORD_CAP": "coord_cap",
 }
 
 

@@ -208,9 +208,13 @@ class StabChain:
     Each level's generators generate that level's whole stabilizer, because
     later extends run Schreier-Sims on them.
 
-    A group generated on disjoint blocks has as its chain the block chains
-    concatenated, each shifted onto its block (`from_blocks`); a level of
-    block b then also carries the generators of every later block.
+    Two constructors build the chain of a group of known structure without
+    sifting a Schreier generator.  A group generated on disjoint blocks has as
+    its chain the block chains concatenated, each shifted onto its block
+    (`from_blocks`); a level of block b then also carries the generators of
+    every later block.  A split extension K ⋊ lift(T), with T acting on the
+    last points and K fixing them, has T's chain lifted onto those points
+    followed by K's chain (`from_split`).
     """
 
     def __init__(self, degree: int, gens: Iterable[RawPerm] = (), base_hint: Sequence[int] = ()):
@@ -245,6 +249,33 @@ class StabChain:
             if levels:
                 later = levels[0].gens
             chain.levels[:0] = levels
+        return chain
+
+    @classmethod
+    def from_split(cls, degree: int, top: "StabChain",
+                   lift: Callable[[RawPerm], RawPerm], kernel: "StabChain") -> "StabChain":
+        """The chain of K ⋊ lift(T), for T = ⟨top⟩ acting on the last top.degree
+        points, lift an injective homomorphism T → Sym(degree) that acts as T
+        on those points, and K = ⟨kernel⟩ fixing them pointwise.
+
+        T's levels come first, shifted onto those points: each inverse
+        transversal entry u becomes lift(u), and each level carries the lifted
+        level generators followed by K's, so it still generates its whole
+        stabilizer K ⋊ lift(T_i).  A copy of K's levels follows.  The caller
+        answers for the hypotheses.  No Schreier generator is sifted, and every
+        level is left unchecked, so a later extend rescans it in full.
+        """
+        chain = cls(degree)
+        off = degree - top.degree
+        kgens = kernel.levels[0].gens if kernel.levels else []
+        for lv in top.levels:
+            nlv = _Level(off + lv.point, chain._ident)
+            nlv.gens = [lift(g) for g in lv.gens] + kgens
+            nlv.inverses = {off + x: lift(u) for x, u in lv.inverses.items()}
+            chain.levels.append(nlv)
+        chain.levels += kernel.copy().levels
+        for lv in chain.levels:
+            lv.checked = None
         return chain
 
     # -- queries ---------------------------------------------------------
@@ -460,17 +491,20 @@ class PermGroup:
     def is_subgroup_of(self, other: "PermGroup") -> bool:
         if self.degree != other.degree:
             return False
-        return all(other.contains_raw(g) for g in self.raw_gens())
+        # A generator of other lies in other without a sift.
+        own = set(other.raw_gens())
+        return all(g in own or other.contains_raw(g) for g in self.raw_gens())
 
     def same_group(self, other: "PermGroup") -> bool:
         return (self.degree == other.degree and self.order() == other.order()
                 and self.is_subgroup_of(other))
 
     def extended(self, extra_gens: Iterable) -> "PermGroup":
-        """The group generated by this group together with extra generators.
+        """The group generated by this group together with extra generators,
+        or this group itself when none of them is new.
 
-        Reuses a copy of the existing stabilizer chain, which makes repeated
-        joins during subgroup closure much cheaper.
+        The extra generators extend a copy of the existing stabilizer chain
+        by Schreier-Sims, so the chain is never rebuilt from nothing.
         """
         extras = [self._coerce(g) for g in extra_gens]
         chain = self.chain().copy()
@@ -805,23 +839,31 @@ def wreath_by_cosets(G0: PermGroup, Gn: PermGroup, G_sub: PermGroup,
                      caps: Caps | None = None) -> WreathProduct:
     """The split extension of G0^N by Gn, N = [Gn : G_sub], coordinates = cosets.
 
-    Coordinate 0 corresponds to the coset of G_sub itself.
+    Coordinate 0 corresponds to the coset of G_sub itself.  Γ is generated by
+    the base generators followed by the top lifts, and its chain is built by
+    construction (`StabChain.from_split`): Gn's levels on the tail, then the
+    base's block chain.  That chain is valid when the base is normal in Γ and
+    the coset map is a homomorphism; `build_realization` certifies both.
     """
     if not G_sub.is_subgroup_of(Gn):
         raise InvalidInput("G_sub must be a subgroup of Gn")
     n = Gn.order() // G_sub.order()
     cap = effective_caps(caps).coord_cap
     if n > cap:
-        raise CapExceeded(f"coordinate count {n} exceeds coordinate cap {cap}")
+        raise CapExceeded(f"coordinate count {n} exceeds coordinate cap {cap}; "
+                          f"raise it with --coord-cap or CLASSLAB_COORD_CAP")
     cos = coset_action(Gn, G_sub)
     d0, dn = G0.degree, Gn.degree
     degree = n * d0 + dn
 
+    def lift(g: RawPerm) -> RawPerm:
+        return _lift_blocks(cos.apply_raw(g), d0, g)
+
     base_gens = [_place_blocks(degree, [(i, g)]) for i in range(n) for g in G0.raw_gens()]
     base = PermGroup(degree, base_gens)
     base._chain = StabChain.from_blocks(degree, [(i, G0.chain()) for i in range(n)])
-    top_lifts = [_lift_blocks(cos.apply_raw(g), d0, g) for g in Gn.raw_gens()]
-    group = base.extended(top_lifts)
+    group = PermGroup(degree, list(base.generators) + [lift(g) for g in Gn.raw_gens()])
+    group._chain = StabChain.from_split(degree, Gn.chain(), lift, base._chain)
 
     def top_fn(raw: RawPerm) -> RawPerm:
         return _restrict(raw, n * d0, dn)

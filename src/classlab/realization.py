@@ -43,6 +43,7 @@ from .structure import (
     is_abelian,
     is_simple,
     isomorphic,
+    normal_in,
     quotient,
     subgroups,
 )
@@ -243,11 +244,18 @@ def build_realization(G: PermGroup, G0: PermGroup, Gn: PermGroup,
     wp = wreath_by_cosets(G0, Gn, image, caps)
     Gamma, N = wp.group, wp.n_coords
 
-    if Gamma.order() != G0.order() ** N * Gn.order():
-        raise FalsificationAlarm(
-            "wreath order arithmetic failed",
-            witness={"gamma_order": Gamma.order(), "g0_order": G0.order(),
-                     "n": N, "gn_order": Gn.order()})
+    # |Γ| = |G0|^N·|Gn|, and with it Γ's constructed chain, from facts that do
+    # not read that chain: the base is normal in Γ, and the coset map is a
+    # homomorphism, so the top lifts form a copy of Gn, which meets the base
+    # trivially because the base fixes the tail.  The top quotient check below
+    # confirms that the tail restriction maps Γ onto Gn.
+    for failed, holds in (("base is not normal in Gamma", lambda: normal_in(Gamma, wp.base)),
+                          ("coset map is not a homomorphism", wp.coset_hom.is_multiplicative)):
+        if not holds():
+            raise FalsificationAlarm(
+                "wreath order arithmetic failed",
+                witness={"failed": failed, "g0_order": G0.order(),
+                         "n": N, "gn_order": Gn.order()})
     checks["order_arithmetic"] = "passed"
 
     h_gens = [wp.coordinate_embedding(0).apply_raw(h) for h in H0.raw_gens()]
@@ -258,15 +266,14 @@ def build_realization(G: PermGroup, G0: PermGroup, Gn: PermGroup,
     H._chain = StabChain.from_blocks(
         Gamma.degree, [(0, H0.chain())] + [(i, G0.chain()) for i in range(1, N)])
 
+    # M = H ⋊ lift(image), its chain by construction; |M| = |H|·|G| then holds
+    # as soon as the lifts normalize H, which quotient tests before it reads
+    # |M|.  Its normality test sifts each conjugate h^m; only an alarm sifts
+    # them again, to name the pair that fails.
     lift_gens = [wp.top_lift(embed.apply(g)) for g in G.generators]
-    M = H.extended(lift_gens)
-    if M.order() != H.order() * G.order():
-        raise FalsificationAlarm(
-            "structural normalizer has the wrong order",
-            witness={"m_order": M.order(), "h_order": H.order(),
-                     "g_order": G.order()})
-    # quotient's normality test sifts each conjugate h^m; only an alarm
-    # sifts them again, to name the pair that fails.
+    M = PermGroup(Gamma.degree, list(H.generators) + lift_gens)
+    M._chain = StabChain.from_split(Gamma.degree, image.chain(),
+                                    lambda raw: wp.top_lift(raw).images, H.chain())
     try:
         Q, _ = quotient(M, H)
     except InvalidInput:

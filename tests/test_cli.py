@@ -295,6 +295,39 @@ class TestCapsPlumbing:
         code, _, err = run_cli(capsys, "group", "C2", "--enum-cap", "0")
         assert code == 2
 
+    def test_coord_cap_message_names_both_ways_to_raise_it(self, capsys):
+        code, _, err = run_cli(capsys, "realize", "C2", "--top", "S5", "--no-brute-check")
+        assert code == 3
+        assert err == ("cap exceeded: coordinate count 60 exceeds coordinate cap 24; "
+                       "raise it with --coord-cap or CLASSLAB_COORD_CAP\n")
+
+    def test_coord_cap_flag(self, capsys):
+        # C2 in C4 has N = 2 coordinates.
+        code, _, err = run_cli(capsys, "realize", "C2", "--top", "C4", "--coord-cap", "1")
+        assert code == 3
+        assert "coordinate count 2 exceeds coordinate cap 1" in err
+        code, out, _ = run_cli(capsys, "realize", "C2", "--top", "C4", "--coord-cap", "2")
+        assert code == 0
+        assert "2 coordinate(s)" in out
+
+    def test_coord_cap_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("CLASSLAB_COORD_CAP", "1")
+        code, _, err = run_cli(capsys, "realize", "C2", "--top", "C4")
+        assert code == 3
+        assert "coordinate cap 1" in err
+        code, _, _ = run_cli(capsys, "realize", "C2", "--top", "C4", "--coord-cap", "2")
+        assert code == 0
+
+    @pytest.mark.parametrize("env,flag", [("0", None), ("-3", None), ("two", None),
+                                          (None, "0"), (None, "-1")])
+    def test_bad_coord_cap_exits_2(self, capsys, monkeypatch, env, flag):
+        if env is not None:
+            monkeypatch.setenv("CLASSLAB_COORD_CAP", env)
+        argv = ["realize", "C2", "--top", "C4"] + (["--coord-cap", flag] if flag else [])
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "coord" in err.lower()
+
 
 class TestUsageErrors:
     def test_unknown_command(self, capsys):

@@ -235,7 +235,7 @@ class TestStabChain:
     PINNED_ELEMENT_ORDERS = {
         "S5": "0ee1b8204c4f55fc013a1ecb1b96437bd877419235e9e1513264d97edbf24b30",
         "SL25": "71655dd97fec31081f6edd1532efcc861b49cfe470fe3726687fd9dc027645e9",
-        "gamma C2 top C4": "beee508474b0712db3d4c0e74254d9fb7686aff7f781aece0e0c92ba0bf3c2b4",
+        "gamma C2 top C4": "f55daab364535b3a1bf0ef88519c70e7f933f86716cd7a8d37b80e54b8baaf50",
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED_ELEMENT_ORDERS))
@@ -283,8 +283,25 @@ def block_product(draw):
     return blocks * d + tail, d, gens
 
 
+@st.composite
+def wreath_case(draw):
+    """(G0, Gn, a subgroup of Gn): G0 of degree at most 3, Gn of degree at
+    most 4, each on random generators, the subgroup on random elements of Gn."""
+    def group(max_degree):
+        degree = draw(st.integers(min_value=2, max_value=max_degree))
+        perm = st.permutations(list(range(degree))).map(tuple)
+        return degree, draw(st.lists(perm, min_size=1, max_size=3))
+
+    d0, g0_gens = group(3)
+    dn, gn_gens = group(4)
+    elems = sorted(oracles.naive_closure(gn_gens, dn))
+    sub_gens = draw(st.lists(st.sampled_from(elems), max_size=2))
+    return generate(g0_gens, d0), generate(gn_gens, dn), generate(sub_gens, dn)
+
+
 class TestBlockChains:
-    """Chains built by StabChain.from_blocks against Schreier-Sims from nothing."""
+    """Chains built by StabChain.from_blocks and StabChain.from_split against
+    Schreier-Sims from nothing."""
 
     ENUM_LIMIT = 20_000
 
@@ -300,6 +317,34 @@ class TestBlockChains:
         for i, lv in enumerate(chain.levels):
             below = math.prod(len(m.inverses) for m in chain.levels[i:])
             assert StabChain(G.degree, lv.gens).order() == below
+
+    def _assert_valid_split_chain(self, G, top_degree, top_levels, rnd):
+        """What any correct chain of a split extension K ⋊ lift(T) must satisfy,
+        T acting on the last top_degree points, whatever its base order."""
+        chain = G.chain()
+        fresh = StabChain(G.degree, G.raw_gens())
+        assert chain.order() == fresh.order()
+        gens = G.raw_gens()
+        for _ in range(20):
+            word = tuple(range(G.degree))
+            for _ in range(rnd.randint(0, 6) if gens else 0):
+                word = _compose(rnd.choice(gens), word)
+            assert chain.contains(word)
+            x = tuple(rnd.sample(range(G.degree), G.degree))
+            assert chain.contains(x) == fresh.contains(x)
+            y = _compose(x, word)
+            assert chain.contains(y) == fresh.contains(y)
+            # A near miss: the word followed by a random transposition.
+            swap = list(range(G.degree))
+            i, j = rnd.sample(range(G.degree), 2)
+            swap[i], swap[j] = j, i
+            z = _compose(word, tuple(swap))
+            assert chain.contains(z) == fresh.contains(z)
+        for i, lv in enumerate(chain.levels):
+            below = math.prod(len(m.inverses) for m in chain.levels[i:])
+            assert StabChain(G.degree, lv.gens).order() == below
+        tail = G.degree - top_degree
+        assert all(p >= tail for p in chain.base()[:top_levels])
 
     @pytest.mark.parametrize("spec", ["C2", "S3", "D8", "Q8", "A4", "A5", "SL23", "D14"])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -330,14 +375,27 @@ class TestBlockChains:
         Gn = parse_group_spec(gn)
         W = wreath_by_cosets(parse_group_spec(g0), Gn, generate(sub, Gn.degree))
         self._assert_matches_fresh(W.base)
-        self._assert_matches_fresh(W.group)
+        self._assert_valid_split_chain(W.group, Gn.degree, len(Gn.chain().levels),
+                                       random.Random(case))
 
     @pytest.mark.parametrize("target,top", [("C2", "C4"), ("C3", "C6"), ("C2", "S3")])
     def test_realization_h_and_normalizer(self, target, top):
         cert = realize(parse_group_spec(target), top=parse_group_spec(top),
                        brute_check=False)
         self._assert_matches_fresh(cert.h)
-        self._assert_matches_fresh(cert.normalizer)
+        image = cert.embed.image()
+        self._assert_valid_split_chain(cert.normalizer, image.degree,
+                                       len(image.chain().levels),
+                                       random.Random(target + top))
+
+    @given(wreath_case(), st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_split_chain_agrees_with_fresh_chain(self, case, seed):
+        G0, Gn, sub = case
+        W = wreath_by_cosets(G0, Gn, sub)
+        assert W.group.order() == G0.order() ** W.n_coords * Gn.order()
+        self._assert_valid_split_chain(W.group, Gn.degree, len(Gn.chain().levels),
+                                       random.Random(seed))
 
     @given(block_product(), st.data())
     @settings(max_examples=60, deadline=None)

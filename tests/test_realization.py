@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from classlab import perm
 from classlab.config import Caps
 from classlab.errors import CapExceeded, FalsificationAlarm, InvalidInput
 from classlab.perm import (
@@ -10,6 +11,7 @@ from classlab.perm import (
     PermGroup,
     Permutation,
     StabChain,
+    WreathProduct,
     _compose,
     direct_power,
     generate,
@@ -201,24 +203,72 @@ def test_build_c2_over_a5_by_c2():
 
 
 def test_build_alarms_when_structural_normalizer_does_not_normalize(monkeypatch):
-    # A corrupted M: the true normalizer's chain, under generators that add
+    # A corrupted M: the top lift of the target's generator replaced by
     # (1 2 3), which moves the point H0 fixes and so does not normalize H.
     bad = Permutation.from_cycles("(1 2 3)", 7)
-    extended = PermGroup.extended
-
-    def corrupted(self, extra_gens):
-        M = extended(self, extra_gens)
-        if self.degree == 7 and self.order() == 12:
-            fake = PermGroup(7, list(M.generators) + [bad])
-            fake._chain = M.chain()
-            return fake
-        return M
-
-    monkeypatch.setattr(PermGroup, "extended", corrupted)
+    monkeypatch.setattr(WreathProduct, "top_lift", lambda self, h: bad)
     C2 = cyclic(2)
     with pytest.raises(FalsificationAlarm, match="does not normalize H") as info:
         build_realization(C2, alternating(5), C2, identity_hom(C2))
     assert info.value.witness["m"] == "(1 2 3)"
+
+
+def test_order_arithmetic_alarms_on_a_lift_that_does_not_normalize_the_base(monkeypatch):
+    # A5 wr C4 over C2 has two blocks of five points and a tail of four.
+    # Every top lift also exchanges the first points of the two blocks, so it
+    # keeps the tail but carries base generators outside the base.
+    swap = Permutation.from_cycles("(1 6)", 14).images
+    lift_blocks = perm._lift_blocks
+
+    def corrupted(sigma, d, tail=()):
+        return _compose(lift_blocks(sigma, d, tail), swap)
+
+    monkeypatch.setattr(perm, "_lift_blocks", corrupted)
+    C2, C4 = cyclic(2), cyclic(4)
+    embed = GroupHom(C2, C4, [Permutation((2, 3, 0, 1))])
+    with pytest.raises(FalsificationAlarm, match="wreath order arithmetic failed") as info:
+        build_realization(C2, alternating(5), C4, embed)
+    assert info.value.witness["failed"] == "base is not normal in Gamma"
+
+
+def test_order_arithmetic_alarms_on_a_coset_map_that_is_not_a_homomorphism(monkeypatch):
+    # S3 on the three cosets of a C2, with the images of its 3-cycle and its
+    # transposition exchanged: no homomorphism sends a 3-cycle to a
+    # transposition.  The lifts still normalize the base.
+    action = perm.coset_action
+
+    def corrupted(G, S, kernel=None):
+        hom = action(G, S, kernel)
+        swapped = hom.gen_images[::-1]
+        table = dict(zip(G.raw_gens(), (p.images for p in swapped)))
+        return GroupHom(G, hom.target, swapped,
+                        map_fn=lambda raw: table.get(raw) or hom.apply_raw(raw))
+
+    monkeypatch.setattr(perm, "coset_action", corrupted)
+    S3 = symmetric(3)
+    assert sorted(g.order() for g in S3.generators) == [2, 3]
+    C2 = generate(["(1 2)"], 3)
+    embed = GroupHom(C2, S3, [Permutation.from_cycles("(1 2)", 3)])
+    with pytest.raises(FalsificationAlarm, match="wreath order arithmetic failed") as info:
+        build_realization(C2, alternating(5), S3, embed)
+    assert info.value.witness["failed"] == "coset map is not a homomorphism"
+
+
+def test_realize_never_runs_schreier_sims_on_gamma(monkeypatch):
+    # Γ = A5^12 ⋊ S4 and M get their chains by construction; only small
+    # groups (G0, H0, the top group, graph subgroups, the quotient) are
+    # extended.
+    degrees = []
+    extend = StabChain.extend
+
+    def counting(self, g):
+        degrees.append(self.degree)
+        return extend(self, g)
+
+    monkeypatch.setattr(StabChain, "extend", counting)
+    cert = realize(cyclic(2), top=symmetric(4), G0=alternating(5), brute_check=False)
+    assert cert.gamma.degree == 64
+    assert degrees and cert.gamma.degree not in degrees
 
 
 def test_build_c2_inside_c4_top():
