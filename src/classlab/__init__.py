@@ -72,6 +72,7 @@ from .structure import (
     quotient,
     radical_factorization,
     simple_quotients,
+    subgroup_classes,
     subgroups,
 )
 from .suite import CheckResult, run_suite
@@ -110,7 +111,7 @@ __all__ = [
     "conjugacy_classes", "derived_series", "fingerprint",
     "has_prime_order_quotient", "is_abelian", "is_cyclic", "is_nilpotent",
     "is_simple", "is_solvable", "isomorphic", "normal_subgroups", "quotient",
-    "radical_factorization", "simple_quotients", "subgroups",
+    "radical_factorization", "simple_quotients", "subgroup_classes", "subgroups",
     "CheckResult", "run_suite",
     "Catalog", "alternating", "build_universe", "cyclic", "dihedral",
     "klein_four", "load_catalog", "parse_group_spec", "quaternion",

@@ -29,6 +29,7 @@ from .structure import (
     normal_subgroups,
     quotient,
     radical_factorization,
+    subgroup_classes,
     subgroups,
     _prime_factors,
 )
@@ -605,8 +606,15 @@ def audit_property(C: ClassExpr, catalog: Catalog, which: str,
             if which == "C0":
                 if not ev.member(C, G):
                     continue
-                for S in subgroups(G, caps=ev.caps):
-                    if not ev.member(C, S):
+                # Conjugates are isomorphic, so the first member of each
+                # class decides for the whole class.
+                subs = subgroups(G, caps=ev.caps)
+                first = subgroup_classes(G, ev.caps)
+                verdicts: list[bool] = []
+                for pos, S in enumerate(subs):
+                    verdicts.append(ev.member(C, S) if first[pos] == pos
+                                    else verdicts[first[pos]])
+                    if not verdicts[pos]:
                         counterexamples.append({
                             "group": entry.name,
                             "subgroup_order": S.order(),

@@ -203,7 +203,8 @@ class StabChain:
 
     Level i holds the strong generators fixing the first i base points, the
     orbit of base point i under them, and the inverse transversal: u⁻¹ for
-    each orbit point x, where u is the transversal element with u(point) = x.
+    each orbit point x, where u is the transversal element with u(point) = x
+    (the identity at the base point itself, so sifting skips that step).
     Sifting needs only the inverses; the u themselves are rebuilt on demand.
     Each level's generators generate that level's whole stabilizer, because
     later extends run Schreier-Sims on them.
@@ -293,10 +294,13 @@ class StabChain:
         """Sift g through levels ≥ start; return (residue, dropout level)."""
         for i in range(start, len(self.levels)):
             lv = self.levels[i]
-            uinv = lv.inverses.get(g[lv.point])
+            x = g[lv.point]
+            uinv = lv.inverses.get(x)
             if uinv is None:
                 return g, i
-            g = _compose(uinv, g)
+            # The base point's own entry is the identity.
+            if x != lv.point:
+                g = _compose(uinv, g)
         return g, len(self.levels)
 
     def contains(self, g: RawPerm) -> bool:
@@ -732,14 +736,16 @@ def _coset_index(G: PermGroup, S: PermGroup
     """
     if not S.is_subgroup_of(G):
         raise InvalidInput("coset transversal requires S <= G")
-    levels = [lv.inverses for lv in S.chain().levels if len(lv.inverses) > 1]
+    levels = [(lv.point, lv.inverses) for lv in S.chain().levels if len(lv.inverses) > 1]
 
     def key_of(y: RawPerm) -> RawPerm:
-        # y = x⁻¹: the least x(δ) is the first p with y(p) in the orbit.
-        for inverses in levels:
+        # y = x⁻¹: the least x(δ) is the first p with y(p) in the orbit.  The
+        # base point's own entry is the identity.
+        for point, inverses in levels:
             for delta in y:
                 if delta in inverses:
-                    y = _compose(inverses[delta], y)
+                    if delta != point:
+                        y = _compose(inverses[delta], y)
                     break
         return y
 

@@ -519,6 +519,13 @@ def isomorphic(G: PermGroup, H: PermGroup,
 # Subgroup enumeration
 
 
+def _limit_exceeded(count: int, cap: int, explicit: bool) -> SubgroupLimitExceeded:
+    how = ("the limit passed to the enumeration (search --limit)" if explicit
+           else "--subgroup-limit or CLASSLAB_SUBGROUP_LIMIT")
+    return SubgroupLimitExceeded(
+        f"subgroup count {count} exceeds subgroup limit {cap}; raise it with {how}")
+
+
 def subgroups(G: PermGroup, limit: int | None = None,
               caps: Caps | None = None) -> list[PermGroup]:
     """All subgroups: the cyclic subgroups closed under pairwise join.
@@ -529,28 +536,58 @@ def subgroups(G: PermGroup, limit: int | None = None,
     its least generator.  A breadth-first pass joins every subgroup S of the
     current frontier with every atom a not in S, in atom order; the first
     discovery of a mask fixes its generators as S's generators followed by a.
-    <S, a> is closed by right multiplication by its generators, each step a
-    lookup in the generator's row R_a[i] = index(elems[i] ∘ a), built the
-    first time that atom is used; a closure that passes half the elements of
-    G is G (Lagrange) and stops there.  Raises SubgroupLimitExceeded as soon as
-    the count, atoms included, passes the limit.  The result is ordered by
-    (order, sorted elements), which on the sorted index is
-    (popcount, ascending set bits).  Chains of the result groups are built
-    lazily from their generators, in generator order.
+
+    Joins are shared across conjugacy classes.  When a subgroup is first
+    recorded, its orbit under conjugation is walked through the index maps
+    c_g[i] = index(g·e_i·g⁻¹) of G's generators; the walk's tree gives each
+    conjugate S its class representative R and, composed along the tree
+    path, an index map π with S = π(R).  Then <S, a> = π(<R, b>), where b is
+    the atom generating <π⁻¹(a)>, and a ∈ S iff b ∈ R.  <R, b> is closed once
+    per (R, b) by right multiplication by its generators, each step a lookup
+    in the generator's row r_b[i] = index(e_i ∘ b); a closure that passes
+    half the elements of G is G (Lagrange) and stops there.
+    Raises SubgroupLimitExceeded as soon as the count, atoms included, passes
+    the limit.  The result is ordered by (order, sorted elements), which on
+    the sorted index is (popcount, ascending set bits).  Chains of the result
+    groups are built lazily from their generators, in generator order.
     """
+    return _subgroup_table(G, limit, caps)[0]
+
+
+def subgroup_classes(G: PermGroup, caps: Caps | None = None) -> list[int]:
+    """For each subgroup in `subgroups(G)` order, the list position of the
+    first subgroup of its conjugacy class."""
+    return _subgroup_table(G, None, caps)[1]
+
+
+def _subgroup_table(G: PermGroup, limit: int | None,
+                    caps: Caps | None) -> tuple[list[PermGroup], list[int]]:
+    """`subgroups(G)` and `subgroup_classes(G)`, cached as one entry."""
     caps_eff = effective_caps(caps)
     cap = limit if limit is not None else caps_eff.subgroup_limit
     cached = G._cache.get("subgroups")
     if cached is not None:
-        if len(cached) > cap:
-            raise SubgroupLimitExceeded(
-                f"subgroup count {len(cached)} exceeds limit {cap}")
+        if len(cached[0]) > cap:
+            raise _limit_exceeded(len(cached[0]), cap, limit is not None)
         return cached
 
     elems = sorted_elements(G, caps)
+    gen_lists, first = _enumerate_subgroups(G, elems, cap, limit is not None)
+    atoms: dict[int, Permutation] = {}
+    groups = [PermGroup(G.degree, [atoms.setdefault(a, Permutation(elems[a])) for a in gens])
+              for gens in gen_lists]
+    G._cache["subgroups"] = (groups, first)
+    return groups, first
+
+
+def _enumerate_subgroups(G: PermGroup, elems: tuple[RawPerm, ...], cap: int,
+                         explicit: bool) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The generator indices into `elems` of every subgroup, in result order,
+    and the list position of the first member of each one's class."""
     n = len(elems)
     index = {x: i for i, x in enumerate(elems)}
     bits = [1 << i for i in range(n)]
+    conj_maps = [[index[_conjugate(g, x)] for x in elems] for g in G.raw_gens()]
     rows: dict[int, list[int]] = {}
 
     def row(a: int) -> list[int]:
@@ -560,18 +597,48 @@ def subgroups(G: PermGroup, limit: int | None = None,
             r = rows[a] = [index[_compose(x, g)] for x in elems]
         return r
 
-    # mask -> (group, generator indices, member indices); the identity is index 0
-    found: dict[int, tuple[PermGroup, tuple[int, ...], list[int]]] = {}
-    atoms: list[tuple[int, Permutation]] = []
+    # mask -> (generator indices, member indices); the identity is index 0
+    found: dict[int, tuple[tuple[int, ...], list[int]]] = {}
+    # the atoms' element indices, in index order
+    atoms: list[int] = []
+    # element index -> index of the atom generating the same cyclic subgroup
+    atom_of: list[int] = []
+    atom_index: dict[int, int] = {}
     frontier: list[int] = []
+    # mask -> (class representative's mask, parent's mask, c_g with
+    # S = c_g(parent)): the orbit walk's tree, rooted at R with parent None
+    conj: dict[int, tuple[int, int | None, list[int] | None]] = {}
 
     def record(mask: int, entry: tuple, new: list[int]) -> None:
         found[mask] = entry
         new.append(mask)
         if len(found) > cap:
-            raise SubgroupLimitExceeded(f"subgroup closure exceeded limit {cap}")
+            raise _limit_exceeded(len(found), cap, explicit)
+        if mask in conj:
+            return
+        conj[mask] = (mask, None, None)
+        orbit = [(mask, entry[1])]
+        for s_mask, s_members in orbit:
+            for c in conj_maps:
+                t_members = [c[i] for i in s_members]
+                t_mask = sum(bits[i] for i in t_members)
+                if t_mask not in conj:
+                    conj[t_mask] = (mask, s_mask, c)
+                    orbit.append((t_mask, t_members))
 
-    record(1, (trivial_group(G.degree), (), [0]), [])
+    def index_map(mask: int) -> list[int] | None:
+        """π with S = π(R), composed along the tree path; None when S is R."""
+        maps = []
+        _, parent, c = conj[mask]
+        while parent is not None:
+            maps.append(c)
+            _, parent, c = conj[parent]
+        pi = None
+        for c in reversed(maps):
+            pi = c if pi is None else [c[p] for p in pi]
+        return pi
+
+    record(1, ((), [0]), [])
     ident = elems[0]
     for i, x in enumerate(elems):
         members = [0]
@@ -580,26 +647,26 @@ def subgroups(G: PermGroup, limit: int | None = None,
             members.append(index[y])
             y = _compose(y, x)
         mask = sum(bits[j] for j in members)
+        atom_of.append(atom_index.setdefault(mask, i))
         if mask not in found:
-            gen = Permutation(x)
-            atoms.append((i, gen))
-            record(mask, (PermGroup(G.degree, [gen]), (i,), members), frontier)
+            atoms.append(i)
+            record(mask, ((i,), members), frontier)
 
     everything = ((1 << n) - 1, list(range(n)))
 
-    def join(s_mask: int, s_set: set[int], s_members: list[int],
-             s_rows: list[list[int]], ra: list[int]) -> tuple[int, list[int]]:
-        """Mask and member indices of <S, a>; S is closed under s_rows."""
-        j_set = set(s_set)
-        j_members = list(s_members)
+    def join(r_mask: int, r_members: list[int], r_rows: list[list[int]],
+             rb: list[int]) -> tuple[int, list[int]]:
+        """Mask and member indices of <R, b>; R is closed under r_rows."""
+        j_set = set(r_members)
+        j_members = list(r_members)
         add, push = j_set.add, j_members.append
-        for e in s_members:
-            f = ra[e]
+        for e in r_members:
+            f = rb[e]
             if f not in j_set:
                 add(f)
                 push(f)
-        j_rows = s_rows + [ra]
-        k = len(s_members)
+        j_rows = r_rows + [rb]
+        k = len(r_members)
         while k < len(j_members):
             # A subgroup with more than half the elements of G is G (Lagrange).
             if 2 * len(j_members) > n:
@@ -611,27 +678,50 @@ def subgroups(G: PermGroup, limit: int | None = None,
                 if f not in j_set:
                     add(f)
                     push(f)
-        return s_mask + sum(bits[j] for j in j_members[len(s_members):]), j_members
+        return r_mask + sum(bits[j] for j in j_members[len(r_members):]), j_members
 
     while frontier:
+        # Conjugates need the same least number of atoms to generate them, so
+        # a class lies in one frontier, and so do the joins of its members.
+        # Per class representative R in this frontier: (member indices,
+        # generator rows), and <R, b> per atom b.
+        reps: dict[int, tuple[list[int], list[list[int]]]] = {}
+        joins: dict[tuple[int, int], tuple[int, list[int]]] = {}
         nxt = []
         for s_mask in frontier:
-            S, s_gens, s_members = found[s_mask]
-            s_set = set(s_members)
-            s_rows = [row(g) for g in s_gens]
-            for a, gen in atoms:
-                if a in s_set:
+            s_gens = found[s_mask][0]
+            r_mask = conj[s_mask][0]
+            rep = reps.get(r_mask)
+            if rep is None:
+                r_gens, r_members = found[r_mask]
+                rep = reps[r_mask] = (r_members, [row(g) for g in r_gens])
+            pi = index_map(s_mask)
+            inv = list(range(n))
+            if pi is not None:
+                for i, p in enumerate(pi):
+                    inv[p] = i
+            for a in atoms:
+                b = inv[a]
+                if r_mask >> b & 1:
                     continue
-                j_mask, j_members = join(s_mask, s_set, s_members, s_rows, row(a))
+                b = atom_of[b]
+                joined = joins.get((r_mask, b))
+                if joined is None:
+                    joined = joins[r_mask, b] = join(r_mask, *rep, row(b))
+                j_mask, j_members = joined
+                if pi is not None and joined is not everything:
+                    j_members = [pi[j] for j in j_members]
+                    j_mask = sum(bits[j] for j in j_members)
                 if j_mask not in found:
-                    J = PermGroup(G.degree, S.generators + (gen,))
-                    record(j_mask, (J, s_gens + (a,), j_members), nxt)
+                    record(j_mask, (s_gens + (a,), j_members), nxt)
         frontier = nxt
 
-    ranked = sorted(found.values(), key=lambda t: (len(t[2]), sorted(t[2])))
-    result = [t[0] for t in ranked]
-    G._cache["subgroups"] = result
-    return result
+    ranked = sorted(found.items(), key=lambda t: (len(t[1][1]), sorted(t[1][1])))
+    first: dict[int, int] = {}
+    return ([gens for _, (gens, _) in ranked],
+            [first.setdefault(conj[mask][0], pos) for pos, (mask, _) in enumerate(ranked)])
+
+
 
 
 # ---------------------------------------------------------------------------

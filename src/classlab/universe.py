@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .config import Caps, effective_caps
 from .errors import CapExceeded, InvalidInput, ParseError
 from .perm import PermGroup, Permutation, generate, trivial_group
-from .structure import fingerprint, is_abelian, is_cyclic, isomorphic, subgroups
+from .structure import fingerprint, is_abelian, is_cyclic, isomorphic, subgroup_classes, subgroups
 
 FORMAT_VERSION = "classlab-universe v1"
 
@@ -238,8 +238,14 @@ def build_universe(sym_degree: int = DEFAULT_SYM_DEGREE,
         reps.append(G)
         return True
 
-    for S in subgroups(symmetric(sym_degree), caps=caps):
-        register(S)
+    # A conjugate is isomorphic to the first member of its class, which was
+    # registered or matched a representative, so it would not register.
+    Sd = symmetric(sym_degree)
+    subs = subgroups(Sd, caps=caps)
+    first = subgroup_classes(Sd, caps)
+    for pos, S in enumerate(subs):
+        if first[pos] == pos:
+            register(S)
     for spec in extras:
         register(parse_group_spec(spec))
 

@@ -137,6 +137,17 @@ def naive_subgroups(G: frozenset[RawPerm], degree: int) -> set[frozenset[RawPerm
     return set(found)
 
 
+def naive_subgroup_classes(G: frozenset[RawPerm], degree: int
+                           ) -> set[frozenset[frozenset[RawPerm]]]:
+    """The conjugacy classes of subgroups: the orbits of `naive_subgroups`
+    under conjugation by every element of G."""
+    classes = set()
+    for H in naive_subgroups(G, degree):
+        classes.add(frozenset(frozenset(compose(g, compose(h, inverse(g))) for h in H)
+                              for g in G))
+    return classes
+
+
 def naive_isomorphic(G: frozenset[RawPerm], H: frozenset[RawPerm],
                      degree_g: int, degree_h: int) -> dict[RawPerm, RawPerm] | None:
     """An isomorphism G → H as an element table, or None (feasible only for tiny groups).

@@ -32,8 +32,10 @@ from classlab.classes import (
 )
 from classlab.config import Caps
 from classlab.errors import CapExceeded, InvalidInput, ParseError
-from classlab.structure import is_p_group, is_solvable
+from classlab.structure import fingerprint, is_p_group, is_solvable, subgroups
 from classlab.universe import (
+    Catalog,
+    CatalogEntry,
     alternating,
     build_universe,
     cyclic,
@@ -465,6 +467,37 @@ def test_audit_skips_on_subgroup_cap(d4_catalog):
     assert report.holds
     skipped_names = {entry["group"] for entry in report.skipped}
     assert "S4" in skipped_names
+
+
+def _one_group_catalog(spec):
+    G = parse_group_spec(spec)
+    return Catalog([CatalogEntry(spec, G, fingerprint(G))], {"sym_degree": None})
+
+
+def test_c0_canonicalizes_one_subgroup_per_conjugacy_class(monkeypatch):
+    calls = []
+    canon_id = ClassEval.canon_id
+
+    def counted(self, G):
+        calls.append(G)
+        return canon_id(self, G)
+
+    monkeypatch.setattr(ClassEval, "canon_id", counted)
+    catalog = _one_group_catalog("S5")
+    assert audit_property(All(), catalog, "C0", ClassEval()).holds
+    # S5 itself, then the first member of each of its 19 subgroup classes.
+    assert len(calls) == 20
+
+
+def test_c0_lists_every_failing_subgroup_in_list_order():
+    catalog = _one_group_catalog("A5")
+    report = audit_property(Simple(), catalog, "C0", ClassEval())
+    reference = ClassEval()
+    expected = [{"group": "A5", "subgroup_order": S.order(), "subgroup_gens": S.gen_strings()}
+                for S in subgroups(catalog.entries[0].group)
+                if not reference.member(Simple(), S)]
+    assert len(expected) > 9
+    assert report.counterexamples == expected
 
 
 def test_audit_report_json_shape(d4_catalog, ev):

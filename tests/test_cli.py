@@ -318,6 +318,21 @@ class TestCapsPlumbing:
         code, _, _ = run_cli(capsys, "realize", "C2", "--top", "C4", "--coord-cap", "2")
         assert code == 0
 
+    def test_subgroup_limit_message_names_both_ways_to_raise_it(self, capsys, monkeypatch):
+        expected = ("cap exceeded: subgroup count 11 exceeds subgroup limit 10; "
+                    "raise it with --subgroup-limit or CLASSLAB_SUBGROUP_LIMIT\n")
+        code, _, err = run_cli(capsys, "search", "S4", "C1", "--subgroup-limit", "10")
+        assert code == 3 and err == expected
+        monkeypatch.setenv("CLASSLAB_SUBGROUP_LIMIT", "10")
+        code, _, err = run_cli(capsys, "search", "S4", "C1")
+        assert code == 3 and err == expected
+
+    def test_search_limit_message_names_search_limit(self, capsys):
+        code, _, err = run_cli(capsys, "search", "S4", "C1", "--limit", "10")
+        assert code == 3
+        assert "subgroup count 11 exceeds subgroup limit 10" in err
+        assert "search --limit" in err
+
     @pytest.mark.parametrize("env,flag", [("0", None), ("-3", None), ("two", None),
                                           (None, "0"), (None, "-1")])
     def test_bad_coord_cap_exits_2(self, capsys, monkeypatch, env, flag):

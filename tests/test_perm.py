@@ -388,6 +388,24 @@ class TestBlockChains:
                                        len(image.chain().levels),
                                        random.Random(target + top))
 
+    @pytest.mark.parametrize("build", ["schreier-sims", "from_blocks", "from_split"])
+    def test_base_point_entry_is_identity(self, build):
+        # strip and the coset keys skip the base point's entry as the identity.
+        W = wreath_by_cosets(parse_group_spec("A5"), parse_group_spec("C4"),
+                             generate(["(1 3)(2 4)"], 4))
+        chains = {
+            "schreier-sims": [parse_group_spec(s).chain() for s in ("S5", "SL25", "D14")]
+                             + [StabChain(W.group.degree, W.group.raw_gens())],
+            "from_blocks": [direct_power(parse_group_spec("A5"), 3).chain(), W.base.chain()],
+            "from_split": [W.group.chain(),
+                           realize(parse_group_spec("C2"), top=parse_group_spec("S3"),
+                                   brute_check=False).normalizer.chain()],
+        }[build]
+        for chain in chains:
+            assert chain.levels
+            for lv in chain.levels:
+                assert lv.inverses[lv.point] == tuple(range(chain.degree))
+
     @given(wreath_case(), st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=60, deadline=None)
     def test_split_chain_agrees_with_fresh_chain(self, case, seed):

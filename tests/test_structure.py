@@ -39,6 +39,7 @@ from classlab.structure import (
     quotient,
     radical_factorization,
     simple_quotients,
+    subgroup_classes,
     subgroups,
 )
 from classlab.universe import parse_group_spec
@@ -561,6 +562,76 @@ class TestSubgroups:
     def test_limit_stops_large_enumeration(self, spec, limit):
         with pytest.raises(SubgroupLimitExceeded):
             subgroups(parse_group_spec(spec), limit=limit)
+
+    LIMIT_HINT = "raise it with --subgroup-limit or CLASSLAB_SUBGROUP_LIMIT"
+
+    def test_limit_messages_name_the_count_and_how_to_raise_it(self):
+        G = S4()
+        with pytest.raises(SubgroupLimitExceeded) as exc:
+            subgroups(G, caps=Caps(subgroup_limit=10))
+        assert str(exc.value) == f"subgroup count 11 exceeds subgroup limit 10; {self.LIMIT_HINT}"
+        assert len(subgroups(G)) == 30
+        with pytest.raises(SubgroupLimitExceeded) as exc:
+            subgroups(G, caps=Caps(subgroup_limit=29))
+        assert str(exc.value) == f"subgroup count 30 exceeds subgroup limit 29; {self.LIMIT_HINT}"
+
+    def test_explicit_limit_message_names_the_limit_argument(self):
+        C6 = parse_group_spec("C6")
+        for cached in (False, True):
+            if cached:
+                subgroups(C6)
+            with pytest.raises(SubgroupLimitExceeded) as exc:
+                subgroups(C6, limit=3)
+            assert str(exc.value) == ("subgroup count 4 exceeds subgroup limit 3; raise it "
+                                      "with the limit passed to the enumeration (search --limit)")
+
+    # sha256 of the generator lists of subgroups(), recorded before joins
+    # were shared across conjugacy classes.
+    PINNED_GENERATORS_SHA256 = "feb0ae9894976ee87b51b3ac1cb5e73cc48a369156838f3737ea03b6b5d447e7"
+
+    def test_pinned_generator_lists(self):
+        got = {spec: [S.gen_strings() for S in subgroups(parse_group_spec(spec))]
+               for spec in ("S4", "A5", "S5", "SL25", "A6")}
+        blob = json.dumps(got, sort_keys=True, separators=(",", ":")).encode()
+        assert hashlib.sha256(blob).hexdigest() == self.PINNED_GENERATORS_SHA256
+
+    @pytest.mark.parametrize("spec,count", [("S4", 11), ("S5", 19), ("SL25", 12), ("A6", 22)])
+    def test_conjugacy_class_counts(self, spec, count):
+        G = parse_group_spec(spec)
+        first = subgroup_classes(G)
+        assert len(first) == len(subgroups(G))
+        assert len(set(first)) == count
+
+    def test_popping_the_cache_drops_the_class_list(self):
+        G = S4()
+        subs, first = subgroups(G), subgroup_classes(G)
+        G._cache.pop("subgroups")
+        again = subgroup_classes(G)
+        assert again is not first and again == first
+        assert subgroups(G) is not subs
+
+    @staticmethod
+    def assert_classes_match_oracle(G):
+        subs, first = subgroups(G), subgroup_classes(G)
+        assert len(first) == len(subs)
+        # Each entry points at the first member of its class.
+        assert all(first[first[i]] == first[i] <= i for i in range(len(first)))
+        classes: dict[int, set] = {}
+        for S, f in zip(subs, first):
+            classes.setdefault(f, set()).add(S.element_set())
+        assert ({frozenset(c) for c in classes.values()}
+                == oracles.naive_subgroup_classes(G.element_set(), G.degree))
+
+    @pytest.mark.parametrize("make", [D8, Q8, A4, S4])
+    def test_classes_match_naive_oracle(self, make):
+        self.assert_classes_match_oracle(make())
+
+    @given(st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.lists(st.permutations(list(range(n))).map(tuple),
+                           min_size=1, max_size=3)))
+    @settings(max_examples=25, deadline=None)
+    def test_classes_match_naive_oracle_on_generated_groups(self, gens):
+        self.assert_classes_match_oracle(generate(gens, len(gens[0])))
 
     @staticmethod
     def assert_matches_oracle(G):

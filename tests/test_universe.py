@@ -1,6 +1,7 @@
 """Catalog construction, group-spec parsing, and persistence."""
 import pytest
 
+from classlab import structure, universe
 from classlab.config import Caps
 from classlab.errors import InvalidInput, ParseError
 from classlab.structure import fingerprint, has_prime_order_quotient, isomorphic
@@ -151,6 +152,26 @@ class TestBuildUniverse:
         cat = build_universe(4, extras=[])
         orders = [e.group.order() for e in cat.entries]
         assert orders == sorted(orders)
+
+    @pytest.mark.parametrize("degree,classes", [(4, 11), (5, 19)])
+    def test_fingerprints_one_subgroup_per_conjugacy_class(self, monkeypatch, degree, classes):
+        computed, listed = [], []
+
+        def counted(G, caps=None):
+            if "fingerprint" not in G._cache:
+                computed.append(G)
+            return fingerprint(G, caps)
+
+        def listing(G, *args, **kwargs):
+            listed[:] = structure.subgroups(G, *args, **kwargs)
+            return listed
+
+        monkeypatch.setattr(universe, "fingerprint", counted)
+        monkeypatch.setattr(structure, "fingerprint", counted)
+        monkeypatch.setattr(universe, "subgroups", listing)
+        build_universe(degree, extras=[])
+        fingerprinted = [S for S in listed if any(S is G for G in computed)]
+        assert len(fingerprinted) == classes
 
     def test_bad_degree(self):
         with pytest.raises(InvalidInput):
