@@ -5,7 +5,16 @@ lattices and quotients, a small expression language for group classes with
 dual/iterated-extension operators and closure audits, wreath-product
 realization certificates for N(H)/H, and a registered verification suite
 runnable from the `classlab` command.
+
+`run_suite` and `CheckResult` are loaded on first use, so that importing the
+package (and every CLI command but `selftest`) does not import the suite.
 """
+
+from time import perf_counter as _perf_counter
+
+# The start of the package import; CLI reports give the time from here to the
+# start of the command as `timing.import_s`.
+_IMPORT_STARTED = _perf_counter()
 
 from .classes import (
     AuditReport,
@@ -75,7 +84,6 @@ from .structure import (
     subgroup_classes,
     subgroups,
 )
-from .suite import CheckResult, run_suite
 from .universe import (
     Catalog,
     alternating,
@@ -93,6 +101,14 @@ from .universe import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in ("CheckResult", "run_suite"):
+        from . import suite
+        return getattr(suite, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AuditReport", "ClassEval", "ClassExpr", "audit_property", "classify",

@@ -7,6 +7,7 @@ predicates, isomorphism certificates, and exhaustive subgroup enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Any, Callable, Iterable
 
 from .config import Caps, effective_caps
@@ -262,11 +263,24 @@ def normal_subgroups(G: PermGroup, caps: Caps | None = None) -> NormalLattice:
 
     Each normal subgroup is the join of the normal closures of the elements it
     contains, so closing the closures of class representatives under pairwise
-    join is exhaustive.  A candidate is the least normal subgroup containing
-    known classes (class k, or the classes of M and A for a join ⟨M, A⟩), so a
-    known member of its order whose mask covers them is the candidate; only a
-    new member sifts class representatives to fill in its mask.  Members are
-    ordered by (order, first discovery).
+    join is exhaustive.  A normal subgroup is a union of classes, so its order
+    is the sum of the sizes of the classes in its mask; that identity is used
+    three times, so that no known member is built again:
+
+    - a join ⟨M, A⟩ has order |M|·|A| / |M ∩ A|, with |M ∩ A| read off the
+      AND of their masks, so a join that is a known member (one of that order
+      whose mask covers both) is recognised before it is built;
+    - the closure N_k of class k contains class k and the closures of the
+      earlier classes that hold powers of its representative.  When those
+      classes make up exactly a known member's mask, N_k lies in that member
+      and contains all its classes, so it is that member and no closure is
+      computed (the walk over the powers stops as soon as that holds).  This
+      covers a power coprime to the representative's order in an earlier
+      class j: it generates the same cyclic group, so N_k = N_j;
+    - a new member sifts class representatives only until the sizes of the
+      classes found sum to its order.
+
+    Members are ordered by (order, first discovery).
     """
     cached = G._cache.get("normal_lattice")
     if cached is not None:
@@ -274,28 +288,62 @@ def normal_subgroups(G: PermGroup, caps: Caps | None = None) -> NormalLattice:
     order_G = G.order()
     classes = conjugacy_classes(G, caps)
     reps = [cls.rep.images for cls in classes]
+    sizes = [cls.size for cls in classes]
+    # The classes of each element order: x^m, of order o / gcd(m, o), is
+    # looked up only among those.
+    of_order: dict[int, list[int]] = {}
+    for k, cls in enumerate(classes):
+        of_order.setdefault(cls.order, []).append(k)
+
+    def mask_order(mask: int) -> int:
+        return sum(sizes[k] for k in range(mask.bit_length()) if mask >> k & 1)
+
     # The identity class is first, so the trivial group's mask is 1.
     distinct: list[tuple[PermGroup, int]] = [(trivial_group(G.degree), 1)]
+    known_masks = {1}
 
-    def register(N: PermGroup, known: int) -> int | None:
-        """N's mask if N is new, else None; N contains the classes in `known`."""
-        n = N.order()
-        if any(known & ~mask == 0 and m.order() == n for m, mask in distinct):
-            return None
+    def find(n: int, known: int) -> int | None:
+        """The mask of the known member of order n containing the classes in
+        `known`, if there is one."""
+        return next((mask for m, mask in distinct
+                     if known & ~mask == 0 and m.order() == n), None)
+
+    def add(N: PermGroup, known: int) -> int:
+        """Record the new member N, which contains the classes in `known`."""
+        n, total = N.order(), mask_order(known)
         for k, r in enumerate(reps):
+            if total == n:
+                break
             if not known >> k & 1 and N.contains_raw(r):
                 known |= 1 << k
+                total += sizes[k]
+        known_masks.add(known)
         distinct.append((N, known))
         return known
 
+    # closure[k] is the mask of the normal closure of class k.
+    closure = [1] * len(classes)
     atoms: list[tuple[PermGroup, int]] = []
-    for k, cls in enumerate(classes):
-        if k == 0:
+    for k in range(1, len(classes)):
+        x, o = reps[k], classes[k].order
+        known, p = 1 << k | 1, x
+        for m in range(2, o):
+            p = _compose(p, x)
+            j = next((j for j in of_order[o // gcd(m, o)]
+                      if j < k and p in classes[j].members), None)
+            if j is not None:
+                known |= closure[j]
+                if known in known_masks:
+                    break
+        if known in known_masks:
+            closure[k] = known
             continue
-        N = normal_closure(G, [cls.rep])
-        mask = register(N, 1 << k | 1)
-        if mask is not None:
+        N = normal_closure(G, [x])
+        mask = find(N.order(), known)
+        if mask is None:
+            mask = add(N, known)
             atoms.append((N, mask))
+        closure[k] = mask
 
     frontier = list(atoms)
     while frontier:
@@ -306,10 +354,12 @@ def normal_subgroups(G: PermGroup, caps: Caps | None = None) -> NormalLattice:
             for A, a_mask in atoms:
                 if a_mask & ~m_mask == 0:
                     continue
+                known = m_mask | a_mask
+                n = M.order() * A.order() // mask_order(m_mask & a_mask)
+                if find(n, known) is not None:
+                    continue
                 J = M.extended(A.generators)
-                mask = register(J, m_mask | a_mask)
-                if mask is not None:
-                    nxt.append((J, mask))
+                nxt.append((J, add(J, known)))
         frontier = nxt
 
     ranked = sorted(distinct, key=lambda entry: entry[0].order())

@@ -363,3 +363,34 @@ class TestConsoleScript:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "order 8" in proc.stdout
+
+    def test_importing_the_cli_leaves_the_suite_unloaded(self):
+        code = ("import sys, classlab.cli\n"
+                "assert 'classlab.suite' not in sys.modules\n"
+                "from classlab import CheckResult, run_suite\n"
+                "assert run_suite.__module__ == CheckResult.__module__ == 'classlab.suite'\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+
+class TestImportTiming:
+    @pytest.mark.parametrize("argv", [
+        ["group", "C4"],
+        ["class", "abelian", "S3"],
+        ["dual-chain", "solvable", "C2"],
+        ["realize", "C2", "--top", "C4", "--no-brute-check"],
+        ["search", "S3", "C1"],
+        ["audit", "cyclic", "--c0"],
+        ["selftest", "--filter", "perm-order"],
+    ])
+    def test_every_report_times_the_import(self, capsys, small_universe, argv):
+        code, out, _ = run_cli(capsys, *argv, "--universe", small_universe, "--json")
+        assert code == 0
+        timing = json.loads(out)["timing"]
+        assert timing["import_s"] >= 0 and timing["total_s"] >= 0
+
+    def test_universe_build_times_the_import(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "universe", "build", "--sym-degree", "3",
+                               "--out", str(tmp_path / "u.txt"), "--json")
+        assert code == 0
+        assert json.loads(out)["timing"]["import_s"] >= 0

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from classlab.config import Caps
+from classlab import perm, structure
+from classlab.config import DEFAULT_CAPS, Caps
 from classlab.errors import CapExceeded, FalsificationAlarm, InvalidInput, SubgroupLimitExceeded
 from classlab.perm import GroupHom, Permutation, coset_action, generate, regular_representation
 from classlab.structure import (
@@ -42,7 +43,8 @@ from classlab.structure import (
     subgroup_classes,
     subgroups,
 )
-from classlab.universe import parse_group_spec
+from classlab.suite import SuiteContext
+from classlab.universe import build_universe, parse_group_spec
 
 import oracles
 
@@ -255,6 +257,108 @@ class TestNormalLattice:
         if len(elements) > 1:
             assert baer_radical(G).element_set() == frozenset.intersection(*maximal)
         assert is_simple(G) == (len(naive) == 2)
+
+
+@st.composite
+def cyclic_product(draw):
+    """(degree, generators) of a direct product of at most one of S3, D8 and
+    Q8 with up to three cyclic groups, each on its own block of points, of
+    order at most 64."""
+    factors = list(draw(st.sampled_from([[], [S3().raw_gens()], [D8().raw_gens()],
+                                         [Q8().raw_gens()]])))
+    order = len(oracles.naive_closure(factors[0], len(factors[0][0]))) if factors else 1
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        n = draw(st.integers(min_value=1, max_value=max(1, min(8, 64 // order))))
+        factors.append([tuple((i + 1) % n for i in range(n))])
+        order *= n
+    degree, gens = 0, []
+    for block in factors:
+        for g in block:
+            gens.append(tuple(range(degree)) + tuple(degree + x for x in g))
+        degree += len(block[0])
+    return degree, [g + tuple(range(len(g), degree)) for g in gens]
+
+
+def mask_classes(G, mask):
+    return [cls for k, cls in enumerate(conjugacy_classes(G)) if mask >> k & 1]
+
+
+@pytest.fixture(scope="module")
+def gammas():
+    """Γ of every realization `realization-gamma-quotients` checks, with its
+    top group: every catalog member of order at most 12, and C2 in C4."""
+    ctx = SuiteContext(build_universe(), DEFAULT_CAPS)
+    return [(name, cert.gn, cert.gamma) for name, cert in ctx.small_realizations()]
+
+
+class TestLatticeByClassMasks:
+    # sha256 of the generator strings, masks and maximal flags of every
+    # member, recorded before joins and closures were matched by the
+    # class-size order identity.
+    PINNED_LATTICE_SHA256 = "2c1d352e4263ffce35812460f6f6501a894c1ef2a2c4c2c809ff25416b2308b3"
+
+    def test_pinned_lattices(self, gammas):
+        groups = [(spec, parse_group_spec(spec))
+                  for spec in ("S4", "A5", "S5", "SL25", "S6", "A7")]
+        groups += [(f"gamma:{name}", gamma) for name, _, gamma in gammas]
+        got = {}
+        for label, G in groups:
+            lat = normal_subgroups(G)
+            got[label] = {"gens": [m.gen_strings() for m in lat.members],
+                          "masks": lat.masks, "maximal": lat.maximal}
+            for m, mask in zip(lat.members, lat.masks):
+                assert m.order() == sum(cls.size for cls in mask_classes(G, mask))
+        blob = json.dumps(got, sort_keys=True, separators=(",", ":")).encode()
+        assert hashlib.sha256(blob).hexdigest() == self.PINNED_LATTICE_SHA256
+
+    def test_work_on_the_gamma_quotient_groups(self, gammas, monkeypatch):
+        # Before joins were decided by the order identity and closures
+        # inherited along power classes, these lattices made 578
+        # `PermGroup.extended` and 618 `normal_closure` calls.
+        calls = Counter()
+        extended, closure = perm.PermGroup.extended, structure.normal_closure
+
+        def counted_extended(self, extra):
+            calls["extended"] += 1
+            return extended(self, extra)
+
+        def counted_closure(G, seeds):
+            calls["normal_closure"] += 1
+            return closure(G, seeds)
+
+        monkeypatch.setattr(perm.PermGroup, "extended", counted_extended)
+        monkeypatch.setattr(structure, "normal_closure", counted_closure)
+        for _, gn, gamma in gammas:
+            for G in (gn, gamma):
+                G._cache.pop("normal_lattice", None)
+                normal_subgroups(G)
+        assert dict(calls) == {"extended": 12, "normal_closure": 297}
+
+    @pytest.mark.parametrize("spec,closures", [("C7", 1), ("C12", 5), ("A5", 3)])
+    def test_power_classes_inherit_their_closure(self, spec, closures, monkeypatch):
+        # A generator of C7 is a coprime power of the least one; in A5 the
+        # second class of 5-cycles holds the squares of the first.
+        seeds = []
+        closure = structure.normal_closure
+        monkeypatch.setattr(structure, "normal_closure",
+                            lambda G, s: seeds.append(s) or closure(G, s))
+        G = parse_group_spec(spec)
+        normal_subgroups(G)
+        assert len(seeds) == closures < len(conjugacy_classes(G)) - 1
+
+    @given(cyclic_product())
+    @settings(max_examples=30, deadline=None)
+    def test_cyclic_and_direct_products_match_oracle(self, case):
+        # Cyclic factors give classes that are coprime powers of each other,
+        # whose closures are inherited rather than computed.
+        degree, gens = case
+        G = generate(gens, degree)
+        lat = normal_subgroups(G)
+        sets = [m.element_set() for m in lat.members]
+        naive = oracles.naive_normal_subgroups(oracles.naive_closure(gens, degree), degree)
+        assert set(sets) == naive and len(sets) == len(naive)
+        for m, mask in zip(sets, lat.masks):
+            assert m == frozenset().union(*(cls.members for cls in mask_classes(G, mask)))
 
 
 class TestRadical:
