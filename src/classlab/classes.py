@@ -14,7 +14,7 @@ import math
 import weakref
 from dataclasses import dataclass, field
 
-from .config import Caps, effective_caps
+from .config import DEFAULT_CAPS, Caps, raise_hint
 from .errors import CapExceeded, InvalidInput, ParseError
 from .perm import PermGroup
 from .structure import (
@@ -31,6 +31,7 @@ from .structure import (
     radical_factorization,
     subgroup_classes,
     subgroups,
+    _is_prime,
     _prime_factors,
 )
 from .universe import Catalog, alternating, parse_group_spec
@@ -85,7 +86,7 @@ class PGroup(ClassExpr):
     p: int
 
     def __post_init__(self):
-        if self.p < 2 or _prime_factors(self.p) != [self.p]:
+        if not _is_prime(self.p):
             raise InvalidInput(f"{self.p} is not prime")
 
     def text(self):
@@ -98,7 +99,7 @@ class Pi(ClassExpr):
 
     def __post_init__(self):
         for p in self.primes:
-            if p < 2 or _prime_factors(p) != [p]:
+            if not _is_prime(p):
                 raise InvalidInput(f"{p} is not prime")
 
     def text(self):
@@ -370,8 +371,8 @@ class ClassEval:
     only the registry's one representative per iso type outlives its caller.
     """
 
-    def __init__(self, caps: Caps | None = None):
-        self.caps = effective_caps(caps)
+    def __init__(self, caps: Caps = DEFAULT_CAPS):
+        self.caps = caps
         self._registry: dict[tuple, list[tuple[PermGroup, int]]] = {}
         self._gid_of: weakref.WeakKeyDictionary[PermGroup, int] = weakref.WeakKeyDictionary()
         self._memo: dict[tuple, bool] = {}
@@ -471,7 +472,7 @@ class ClassEval:
             if C.k > self.caps.dual_depth:
                 raise CapExceeded(
                     f"dual-iteration depth {C.k} exceeds configured depth "
-                    f"{self.caps.dual_depth}")
+                    f"{self.caps.dual_depth}; {raise_hint('dual_depth')}")
             return self.member(_expand_dual_iter(C), G)
         raise InvalidInput(f"unhandled class expression {C!r}")
 
@@ -544,9 +545,6 @@ class ClassEval:
         return all(self.member(C, Q) for Q in fac.quotients)
 
     def dual_chain_member(self, C: ClassExpr, G: PermGroup, k: int) -> bool:
-        if k > self.caps.dual_depth:
-            raise CapExceeded(
-                f"dual-iteration depth {k} exceeds configured depth {self.caps.dual_depth}")
         return self.member(DualIter(C, k), G)
 
     # -- tracing ---------------------------------------------------------

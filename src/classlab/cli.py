@@ -15,7 +15,7 @@ import time
 
 from . import _IMPORT_STARTED
 from .classes import ClassEval, audit_property, classify, parse_class_expr
-from .config import DEFAULT_CAPS, Caps, caps_from_env
+from .config import _ENV_FIELDS, Caps, caps_from_env
 from .errors import (
     CapExceeded,
     DegreeMismatch,
@@ -75,15 +75,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("group", parents=[common],
                        help="analyze one group: order, lattice, radical, quotients")
+    p.set_defaults(handler=_cmd_group)
     p.add_argument("spec", help="group spec, e.g. Q8, A5, perm4[(1 2);(3 4)]")
 
     p = sub.add_parser("class", parents=[common],
                        help="class membership with an explanation trace")
+    p.set_defaults(handler=_cmd_class)
     p.add_argument("classexpr", help="class expression, e.g. dual(solvable)")
     p.add_argument("spec", help="group spec")
 
     p = sub.add_parser("audit", parents=[common],
                        help="closure-property audits of a class over the universe")
+    p.set_defaults(handler=_cmd_audit)
     p.add_argument("classexpr")
     p.add_argument("--all", action="store_true",
                    help="run all four audits and report taxonomy flags")
@@ -94,6 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dual-chain", parents=[common],
                        help="iterated dual memberships of one group")
+    p.set_defaults(handler=_cmd_dual_chain)
     p.add_argument("classexpr")
     p.add_argument("spec")
     p.add_argument("--k", type=int, default=2, metavar="K",
@@ -101,6 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("realize", parents=[common],
                        help="build a normalizer-quotient certificate for a group")
+    p.set_defaults(handler=_cmd_realize)
     p.add_argument("spec")
     p.add_argument("--top", metavar="SPEC",
                    help="ambient top group to embed the target into")
@@ -114,16 +119,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", parents=[common],
                        help="brute-force scan for subgroups with N(H)/H "
                             "isomorphic to a target")
+    p.set_defaults(handler=_cmd_search)
     p.add_argument("ambient", help="group spec of the ambient group")
     p.add_argument("target", help="group spec of the target quotient")
-    p.add_argument("--limit", type=int, metavar="N",
-                   help="cap on the number of subgroups to enumerate")
 
-    p = sub.add_parser("universe", parents=[common],
-                       help="catalog maintenance")
+    # The common options belong to `build` alone: argparse would let the
+    # subcommand's defaults overwrite any given before it.
+    p = sub.add_parser("universe", help="catalog maintenance")
     usub = p.add_subparsers(dest="universe_cmd", required=True)
     pb = usub.add_parser("build", parents=[common],
                          help="build and save a catalog")
+    pb.set_defaults(handler=_cmd_universe_build)
     pb.add_argument("--sym-degree", type=int, default=5, metavar="D",
                     help="take all subgroups of the symmetric group of this "
                          "degree, up to isomorphism (default 5)")
@@ -135,6 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", parents=[common],
                        help="run every registered verification check")
+    p.set_defaults(handler=_cmd_selftest)
     p.add_argument("--filter", metavar="SUBSTRING",
                    help="run only checks whose name contains this substring")
 
@@ -142,10 +149,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _caps_from_args(args) -> Caps:
-    caps = caps_from_env(DEFAULT_CAPS)
+    caps = caps_from_env()
     updates = {field_name: getattr(args, field_name)
-               for field_name in ("enum_cap", "iso_cap", "subgroup_limit", "coord_cap")
-               if getattr(args, field_name, None) is not None}
+               for field_name in _ENV_FIELDS.values()
+               if getattr(args, field_name) is not None}
     for field_name, value in updates.items():
         if value <= 0:
             raise InvalidInput(f"--{field_name.replace('_', '-')} must be positive")
@@ -338,7 +345,7 @@ def _cmd_search(args, caps: Caps):
     started = time.perf_counter()
     Gamma = parse_group_spec(args.ambient)
     G = parse_group_spec(args.target)
-    hits = brute_search(Gamma, G, limit=args.limit, caps=caps)
+    hits = brute_search(Gamma, G, caps)
     results = {
         "ambient_order": Gamma.order(),
         "target_order": G.order(),
@@ -352,8 +359,8 @@ def _cmd_search(args, caps: Caps):
             for h in hits
         ],
     }
-    report = _report("search", {"ambient": args.ambient, "target": args.target,
-                                "limit": args.limit}, results, [], started)
+    report = _report("search", {"ambient": args.ambient, "target": args.target},
+                     results, [], started)
     lines = [f"search in {args.ambient}: {len(hits)} subgroup(s) with "
              f"N(H)/H isomorphic to {args.target}"]
     for h in results["hits"]:
@@ -412,31 +419,12 @@ def _cmd_selftest(args, caps: Caps):
     return report, code, lines
 
 
-_HANDLERS = {
-    "group": _cmd_group,
-    "class": _cmd_class,
-    "audit": _cmd_audit,
-    "dual-chain": _cmd_dual_chain,
-    "realize": _cmd_realize,
-    "search": _cmd_search,
-    "selftest": _cmd_selftest,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        caps = _caps_from_args(args)
-        if args.cmd == "universe":
-            handler = _cmd_universe_build
-        else:
-            handler = _HANDLERS[args.cmd]
-        report, code, lines = handler(args, caps)
-    except (ParseError, InvalidInput, DegreeMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+        report, code, lines = args.handler(args, _caps_from_args(args))
+    except (ParseError, InvalidInput, DegreeMismatch, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CapExceeded as exc:

@@ -28,12 +28,6 @@ class Caps:
 
 DEFAULT_CAPS = Caps()
 
-
-def effective_caps(caps: Caps | None) -> Caps:
-    """The caps to use: the explicit argument, or DEFAULT_CAPS when none is given."""
-    return caps if caps is not None else DEFAULT_CAPS
-
-
 _ENV_FIELDS = {
     "CLASSLAB_ENUM_CAP": "enum_cap",
     "CLASSLAB_ISO_CAP": "iso_cap",
@@ -42,9 +36,17 @@ _ENV_FIELDS = {
 }
 
 
-def caps_from_env(base: Caps | None = None) -> Caps:
+def raise_hint(field_name: str) -> str:
+    """How to raise the cap in a `Caps` field: its flag and environment
+    variable, or the field itself for a cap that has neither."""
+    var = next((v for v, f in _ENV_FIELDS.items() if f == field_name), None)
+    if var is None:
+        return f"raise it with Caps({field_name}=...)"
+    return f"raise it with --{field_name.replace('_', '-')} or {var}"
+
+
+def caps_from_env(base: Caps = DEFAULT_CAPS) -> Caps:
     """Apply CLASSLAB_* environment overrides on top of the given base caps."""
-    caps = base if base is not None else DEFAULT_CAPS
     updates = {}
     for var, field_name in _ENV_FIELDS.items():
         raw = os.environ.get(var)
@@ -57,4 +59,4 @@ def caps_from_env(base: Caps | None = None) -> Caps:
         if value <= 0:
             raise ValueError(f"{var} must be positive, got {value}")
         updates[field_name] = value
-    return caps.with_updates(**updates) if updates else caps
+    return base.with_updates(**updates) if updates else base

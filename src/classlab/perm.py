@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .config import Caps, effective_caps
+from .config import DEFAULT_CAPS, Caps, raise_hint
 from .errors import CapExceeded, DegreeMismatch, InvalidInput, ParseError
 
 RawPerm = tuple[int, ...]
@@ -413,8 +413,7 @@ class StabChain:
 class PermGroup:
     """A finitely generated permutation group on {0, …, degree−1}."""
 
-    def __init__(self, degree: int, generators: Iterable = (), name: str | None = None,
-                 base_hint: Sequence[int] = ()):
+    def __init__(self, degree: int, generators: Iterable = (), name: str | None = None):
         self.degree = degree
         gens: list[Permutation] = []
         seen: set[RawPerm] = set()
@@ -429,7 +428,6 @@ class PermGroup:
             gens.append(p)
         self.generators: tuple[Permutation, ...] = tuple(gens)
         self.name = name
-        self._base_hint = tuple(base_hint)
         self._chain: StabChain | None = None
         self._cache: dict = {}
 
@@ -451,7 +449,7 @@ class PermGroup:
 
     def chain(self) -> StabChain:
         if self._chain is None:
-            self._chain = StabChain(self.degree, self.raw_gens(), base_hint=self._base_hint)
+            self._chain = StabChain(self.degree, self.raw_gens())
         return self._chain
 
     def order(self) -> int:
@@ -469,21 +467,21 @@ class PermGroup:
     def contains_raw(self, raw: RawPerm) -> bool:
         return self.chain().contains(raw)
 
-    def raw_elements(self, caps: Caps | None = None) -> tuple[RawPerm, ...]:
+    def raw_elements(self, caps: Caps = DEFAULT_CAPS) -> tuple[RawPerm, ...]:
         cached = self._cache.get("raw_elements")
         if cached is None:
-            cap = effective_caps(caps).enum_cap
             n = self.order()
-            if n > cap:
-                raise CapExceeded(f"order {n} exceeds enumeration cap {cap}")
+            if n > caps.enum_cap:
+                raise CapExceeded(f"order {n} exceeds enumeration cap {caps.enum_cap}; "
+                                  f"{raise_hint('enum_cap')}")
             cached = tuple(self.chain().iter_elements())
             self._cache["raw_elements"] = cached
         return cached
 
-    def elements(self, caps: Caps | None = None) -> tuple[Permutation, ...]:
+    def elements(self, caps: Caps = DEFAULT_CAPS) -> tuple[Permutation, ...]:
         return tuple(Permutation(r) for r in self.raw_elements(caps))
 
-    def element_set(self, caps: Caps | None = None) -> frozenset[RawPerm]:
+    def element_set(self, caps: Caps = DEFAULT_CAPS) -> frozenset[RawPerm]:
         cached = self._cache.get("element_set")
         if cached is None:
             cached = frozenset(self.raw_elements(caps))
@@ -797,7 +795,7 @@ def coset_action(G: PermGroup, S: PermGroup, kernel: PermGroup | None = None) ->
     return hom
 
 
-def regular_representation(G: PermGroup, caps: Caps | None = None) -> GroupHom:
+def regular_representation(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> GroupHom:
     """The left-regular action of G on its own (sorted) element list."""
     elems = list(G.raw_elements(caps))
     elems.sort()
@@ -842,7 +840,7 @@ class WreathProduct:
 
 
 def wreath_by_cosets(G0: PermGroup, Gn: PermGroup, G_sub: PermGroup,
-                     caps: Caps | None = None) -> WreathProduct:
+                     caps: Caps = DEFAULT_CAPS) -> WreathProduct:
     """The split extension of G0^N by Gn, N = [Gn : G_sub], coordinates = cosets.
 
     Coordinate 0 corresponds to the coset of G_sub itself.  Γ is generated by
@@ -854,10 +852,9 @@ def wreath_by_cosets(G0: PermGroup, Gn: PermGroup, G_sub: PermGroup,
     if not G_sub.is_subgroup_of(Gn):
         raise InvalidInput("G_sub must be a subgroup of Gn")
     n = Gn.order() // G_sub.order()
-    cap = effective_caps(caps).coord_cap
-    if n > cap:
-        raise CapExceeded(f"coordinate count {n} exceeds coordinate cap {cap}; "
-                          f"raise it with --coord-cap or CLASSLAB_COORD_CAP")
+    if n > caps.coord_cap:
+        raise CapExceeded(f"coordinate count {n} exceeds coordinate cap {caps.coord_cap}; "
+                          f"{raise_hint('coord_cap')}")
     cos = coset_action(Gn, G_sub)
     d0, dn = G0.degree, Gn.degree
     degree = n * d0 + dn

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .config import Caps, effective_caps
+from .config import DEFAULT_CAPS, Caps, raise_hint
 from .errors import CapExceeded, FalsificationAlarm, InvalidInput
 from .perm import (
     GroupHom,
@@ -103,7 +103,7 @@ def is_primitive(G: PermGroup) -> bool:
 
 
 def brute_normalizer(parent: PermGroup, H: PermGroup,
-                     caps: Caps | None = None) -> PermGroup:
+                     caps: Caps = DEFAULT_CAPS) -> PermGroup:
     """N_parent(H) for H ≤ parent, by one test per left coset of H.
 
     If r·H·r⁻¹ = H then every element of rH normalizes H, and if r does not
@@ -114,10 +114,10 @@ def brute_normalizer(parent: PermGroup, H: PermGroup,
     grew it; no element of H is listed.  Raises InvalidInput unless
     H ≤ parent, and CapExceeded when |parent| exceeds the enumeration cap.
     """
-    cap = effective_caps(caps).enum_cap
     n = parent.order()
-    if n > cap:
-        raise CapExceeded(f"order {n} exceeds enumeration cap {cap}")
+    if n > caps.enum_cap:
+        raise CapExceeded(f"order {n} exceeds enumeration cap {caps.enum_cap}; "
+                          f"{raise_hint('enum_cap')}")
     reps, _, _ = _coset_index(parent, H)
     hgens = H.raw_gens()
     chain = H.chain().copy()
@@ -132,14 +132,13 @@ def brute_normalizer(parent: PermGroup, H: PermGroup,
 # Maximal self-normalizing subgroups of simple groups
 
 
-def maximal_selfnormalizing(G0: PermGroup, caps: Caps | None = None) -> PermGroup:
+def maximal_selfnormalizing(G0: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
     """A maximal subgroup H0 of a simple non-abelian G0 with N_{G0}(H0) = H0.
 
     Maximality is certified by primitivity of the coset action (a coset action
     with a nontrivial block system would expose an intermediate subgroup), and
     self-normalization is confirmed by `brute_normalizer`, one test per coset.
     """
-    caps = effective_caps(caps)
     if is_abelian(G0):
         raise InvalidInput("a simple non-abelian group is required (input is abelian)")
     if not is_simple(G0, caps):
@@ -217,7 +216,7 @@ class RealizationCertificate:
 
 
 def build_realization(G: PermGroup, G0: PermGroup, Gn: PermGroup,
-                      embed: GroupHom, caps: Caps | None = None,
+                      embed: GroupHom, caps: Caps = DEFAULT_CAPS,
                       brute_check: bool = True) -> RealizationCertificate:
     """Construct Γ = G0^N ⋊ Gn and certify N_Γ(H)/H ≅ G for H = H0 × G0^{N−1}.
 
@@ -226,7 +225,6 @@ def build_realization(G: PermGroup, G0: PermGroup, Gn: PermGroup,
     is on) `brute_normalizer`, exhaustive over Γ by testing one element of
     each left coset of H, must reproduce it exactly.
     """
-    caps = effective_caps(caps)
     checks: dict = {}
 
     if embed.source is not G and not embed.source.same_group(G):
@@ -291,8 +289,8 @@ def build_realization(G: PermGroup, G0: PermGroup, Gn: PermGroup,
         if Gamma.order() > caps.enum_cap:
             raise CapExceeded(
                 f"|Gamma| = {Gamma.order()} exceeds the enumeration cap "
-                f"{caps.enum_cap}; disable the brute-force cross-check to "
-                f"proceed structurally")
+                f"{caps.enum_cap}; {raise_hint('enum_cap')}, or disable the "
+                f"brute-force cross-check to proceed structurally")
         brute = brute_normalizer(Gamma, H, caps)
         if brute.order() != M.order() or not all(
                 brute.contains_raw(g) for g in M.raw_gens()):
@@ -338,7 +336,7 @@ def _check_top_quotient(wp, checks: dict) -> None:
     checks["top_quotient"] = "passed"
 
 
-def realize(G: PermGroup, alt: int | None = None, caps: Caps | None = None,
+def realize(G: PermGroup, alt: int | None = None, caps: Caps = DEFAULT_CAPS,
             brute_check: bool = True,
             G0: PermGroup | None = None,
             top: PermGroup | None = None) -> RealizationCertificate:
@@ -346,7 +344,6 @@ def realize(G: PermGroup, alt: int | None = None, caps: Caps | None = None,
     with ``alt=n`` the alternating group A_n and a regular embedding (doubled
     to even permutations when needed), or with ``top=H`` an ambient group that
     is scanned for a subgroup isomorphic to G."""
-    caps = effective_caps(caps)
     base = G0 if G0 is not None else alternating(5)
     if alt is not None and top is not None:
         raise InvalidInput("alt and top are mutually exclusive")
@@ -364,10 +361,9 @@ def realize(G: PermGroup, alt: int | None = None, caps: Caps | None = None,
 
 
 def embedding_into(G: PermGroup, ambient: PermGroup,
-                   caps: Caps | None = None) -> GroupHom:
+                   caps: Caps = DEFAULT_CAPS) -> GroupHom:
     """An injective homomorphism G → ambient, found by scanning the ambient
     subgroup lattice for the first subgroup isomorphic to G."""
-    caps = effective_caps(caps)
     if ambient.order() % G.order() != 0:
         raise InvalidInput(
             f"no subgroup of order {G.order()} fits in a group of order "
@@ -382,7 +378,7 @@ def embedding_into(G: PermGroup, ambient: PermGroup,
 
 
 def alternating_embedding(G: PermGroup, n: int,
-                          caps: Caps | None = None) -> GroupHom:
+                          caps: Caps = DEFAULT_CAPS) -> GroupHom:
     """An injective homomorphism G → A_n from the regular action, using two
     disjoint copies when the regular image contains odd permutations."""
     reg = regular_representation(G, caps)
@@ -422,11 +418,11 @@ class BruteHit:
     iso: IsoCertificate
 
 
-def brute_search(Gamma: PermGroup, G: PermGroup, limit: int | None = None,
-                 caps: Caps | None = None) -> list[BruteHit]:
+def brute_search(Gamma: PermGroup, G: PermGroup,
+                 caps: Caps = DEFAULT_CAPS) -> list[BruteHit]:
     """All subgroups H ≤ Γ with N_Γ(H)/H ≅ G, normalizers by `brute_normalizer`."""
     hits = []
-    for H in subgroups(Gamma, limit=limit, caps=caps):
+    for H in subgroups(Gamma, caps=caps):
         N = brute_normalizer(Gamma, H, caps)
         if N.order() != H.order() * G.order():
             continue
@@ -442,7 +438,7 @@ def brute_search(Gamma: PermGroup, G: PermGroup, limit: int | None = None,
 
 
 def split_check(G: PermGroup, N: PermGroup,
-                caps: Caps | None = None) -> PermGroup:
+                caps: Caps = DEFAULT_CAPS) -> PermGroup:
     """Find a complement to N in G; the caller asserts the hypotheses under
     which a complement must exist, so a non-split verdict raises an alarm."""
     comp = complement_exists(G, N, caps)
@@ -573,14 +569,13 @@ def compose_automorphisms(outer: GroupHom, inner: GroupHom) -> GroupHom:
 
 
 def factor_permutation_check(G0: PermGroup, n: int, theta: GroupHom,
-                             caps: Caps | None = None) -> tuple[int, ...]:
+                             caps: Caps = DEFAULT_CAPS) -> tuple[int, ...]:
     """The permutation j(i) with theta(i-th factor) = j-th factor.
 
     theta must be a verified automorphism of G0^n with G0 simple non-abelian;
     an image factor straddling coordinates would falsify the factor-permutation
     statement and raises an alarm.
     """
-    caps = effective_caps(caps)
     if is_abelian(G0) or not is_simple(G0, caps):
         raise InvalidInput("factor permutation analysis needs a simple non-abelian factor")
     D = direct_power(G0, n)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Any, Callable, Iterable
 
-from .config import Caps, effective_caps
+from .config import DEFAULT_CAPS, Caps, raise_hint
 from .errors import (
     CapExceeded,
     FalsificationAlarm,
@@ -50,7 +50,11 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def sorted_elements(G: PermGroup, caps: Caps | None = None) -> tuple[RawPerm, ...]:
+def _is_prime(n: int) -> bool:
+    return n > 1 and _prime_factors(n) == [n]
+
+
+def sorted_elements(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> tuple[RawPerm, ...]:
     cached = G._cache.get("sorted_elements")
     if cached is None:
         cached = tuple(sorted(G.raw_elements(caps)))
@@ -76,7 +80,7 @@ class ConjClass:
         return len(self.members)
 
 
-def conjugacy_classes(G: PermGroup, caps: Caps | None = None) -> list[ConjClass]:
+def conjugacy_classes(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> list[ConjClass]:
     """Conjugacy classes ordered by their least element (identity class first)."""
     cached = G._cache.get("conj_classes")
     if cached is not None:
@@ -104,7 +108,7 @@ def conjugacy_classes(G: PermGroup, caps: Caps | None = None) -> list[ConjClass]
     return classes
 
 
-def center(G: PermGroup, caps: Caps | None = None) -> PermGroup:
+def center(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
     """The centre: the elements whose conjugacy class is a singleton."""
     return group_from_elements(G.degree, [cls.rep.images for cls in conjugacy_classes(G, caps)
                                           if cls.size == 1])
@@ -186,7 +190,7 @@ def is_abelian(G: PermGroup) -> bool:
     return all(_compose(a, b) == _compose(b, a) for a in gens for b in gens)
 
 
-def is_cyclic(G: PermGroup, caps: Caps | None = None) -> bool:
+def is_cyclic(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> bool:
     n = G.order()
     if n == 1:
         return True
@@ -210,13 +214,12 @@ def is_nilpotent(G: PermGroup) -> bool:
     return lower_central_series(G)[-1].order() == 1
 
 
-def is_simple(G: PermGroup, caps: Caps | None = None) -> bool:
+def is_simple(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> bool:
     """True iff G has exactly two normal subgroups (so the trivial group is not simple)."""
     n = G.order()
     if n == 1:
         return False
-    factors = _prime_factors(n)
-    if len(factors) == 1 and n == factors[0]:
+    if _is_prime(n):
         return True
     if is_abelian(G):
         return False
@@ -258,7 +261,7 @@ class NormalLattice:
         return idx
 
 
-def normal_subgroups(G: PermGroup, caps: Caps | None = None) -> NormalLattice:
+def normal_subgroups(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> NormalLattice:
     """Every normal subgroup, as the join-closure of element normal closures.
 
     Each normal subgroup is the join of the normal closures of the elements it
@@ -373,7 +376,7 @@ def normal_subgroups(G: PermGroup, caps: Caps | None = None) -> NormalLattice:
     return lattice
 
 
-def baer_radical(G: PermGroup, caps: Caps | None = None) -> PermGroup:
+def baer_radical(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
     """The intersection of all maximal normal subgroups of a nontrivial group."""
     if G.order() == 1:
         raise InvalidInput("the radical is defined only for nontrivial groups")
@@ -400,7 +403,7 @@ def quotient(G: PermGroup, N: PermGroup) -> tuple[PermGroup, GroupHom]:
 # Isomorphism
 
 
-def fingerprint(G: PermGroup, caps: Caps | None = None) -> tuple:
+def fingerprint(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> tuple:
     """An isomorphism invariant: never asserts isomorphism, only refutes it.
 
     (order, element-order histogram, class sizes, centre order, derived
@@ -409,9 +412,9 @@ def fingerprint(G: PermGroup, caps: Caps | None = None) -> tuple:
     cached = G._cache.get("fingerprint")
     if cached is not None:
         return cached
-    caps_eff = effective_caps(caps)
-    if G.order() > caps_eff.iso_cap:
-        raise CapExceeded(f"order {G.order()} exceeds iso cap {caps_eff.iso_cap}")
+    if G.order() > caps.iso_cap:
+        raise CapExceeded(f"order {G.order()} exceeds iso cap {caps.iso_cap}; "
+                          f"{raise_hint('iso_cap')}")
     classes = conjugacy_classes(G, caps)
     hist: dict[int, int] = {}
     for cls in classes:
@@ -442,7 +445,7 @@ class IsoCertificate:
         return self.forward.is_isomorphism_onto(self.target)
 
 
-def _generating_sequence(G: PermGroup, caps: Caps | None = None
+def _generating_sequence(G: PermGroup, caps: Caps = DEFAULT_CAPS
                          ) -> tuple[list[RawPerm], list[int]]:
     """A short generating sequence x_0, x_1, …, greedily taking elements of
     large order, and the orders of its prefix subgroups ⟨x_0..x_k⟩."""
@@ -494,7 +497,7 @@ def _first_leaf(levels: list[list[RawPerm]], root: Any,
 
 
 def isomorphic(G: PermGroup, H: PermGroup,
-               caps: Caps | None = None) -> IsoCertificate | None:
+               caps: Caps = DEFAULT_CAPS) -> IsoCertificate | None:
     """An isomorphism certificate, or None; fingerprint rejection then backtracking.
 
     Backtracks over images y_k in H of a generating sequence x_k of G, each drawn
@@ -507,16 +510,16 @@ def isomorphic(G: PermGroup, H: PermGroup,
     tests; the first success in that order is returned and certificates are
     deterministic.
     """
-    cap = effective_caps(caps).iso_cap
+    cap = caps.iso_cap
     # A known order over the cap raises before the other group's chain is built.
     for X in (G, H):
         if X._chain is not None and X.order() > cap:
-            raise CapExceeded(f"order {X.order()} exceeds iso cap {cap}")
+            raise CapExceeded(f"order {X.order()} exceeds iso cap {cap}; {raise_hint('iso_cap')}")
     if G.order() != H.order():
         return None
     n = G.order()
     if n > cap:
-        raise CapExceeded(f"order {n} exceeds iso cap {cap}")
+        raise CapExceeded(f"order {n} exceeds iso cap {cap}; {raise_hint('iso_cap')}")
     if fingerprint(G, caps) != fingerprint(H, caps):
         return None
     if n == 1:
@@ -569,15 +572,12 @@ def isomorphic(G: PermGroup, H: PermGroup,
 # Subgroup enumeration
 
 
-def _limit_exceeded(count: int, cap: int, explicit: bool) -> SubgroupLimitExceeded:
-    how = ("the limit passed to the enumeration (search --limit)" if explicit
-           else "--subgroup-limit or CLASSLAB_SUBGROUP_LIMIT")
-    return SubgroupLimitExceeded(
-        f"subgroup count {count} exceeds subgroup limit {cap}; raise it with {how}")
+def _limit_exceeded(count: int, cap: int) -> SubgroupLimitExceeded:
+    return SubgroupLimitExceeded(f"subgroup count {count} exceeds subgroup limit {cap}; "
+                                 f"{raise_hint('subgroup_limit')}")
 
 
-def subgroups(G: PermGroup, limit: int | None = None,
-              caps: Caps | None = None) -> list[PermGroup]:
+def subgroups(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> list[PermGroup]:
     """All subgroups: the cyclic subgroups closed under pairwise join.
 
     Elements are indexed once in `sorted_elements` order and a subgroup is
@@ -597,32 +597,31 @@ def subgroups(G: PermGroup, limit: int | None = None,
     in the generator's row r_b[i] = index(e_i ∘ b); a closure that passes
     half the elements of G is G (Lagrange) and stops there.
     Raises SubgroupLimitExceeded as soon as the count, atoms included, passes
-    the limit.  The result is ordered by (order, sorted elements), which on
-    the sorted index is (popcount, ascending set bits).  Chains of the result
-    groups are built lazily from their generators, in generator order.
+    `caps.subgroup_limit`.  The result is ordered by (order, sorted
+    elements), which on the sorted index is (popcount, ascending set bits).
+    Chains of the result groups are built lazily from their generators, in
+    generator order.
     """
-    return _subgroup_table(G, limit, caps)[0]
+    return _subgroup_table(G, caps)[0]
 
 
-def subgroup_classes(G: PermGroup, caps: Caps | None = None) -> list[int]:
+def subgroup_classes(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> list[int]:
     """For each subgroup in `subgroups(G)` order, the list position of the
     first subgroup of its conjugacy class."""
-    return _subgroup_table(G, None, caps)[1]
+    return _subgroup_table(G, caps)[1]
 
 
-def _subgroup_table(G: PermGroup, limit: int | None,
-                    caps: Caps | None) -> tuple[list[PermGroup], list[int]]:
+def _subgroup_table(G: PermGroup, caps: Caps) -> tuple[list[PermGroup], list[int]]:
     """`subgroups(G)` and `subgroup_classes(G)`, cached as one entry."""
-    caps_eff = effective_caps(caps)
-    cap = limit if limit is not None else caps_eff.subgroup_limit
+    cap = caps.subgroup_limit
     cached = G._cache.get("subgroups")
     if cached is not None:
         if len(cached[0]) > cap:
-            raise _limit_exceeded(len(cached[0]), cap, limit is not None)
+            raise _limit_exceeded(len(cached[0]), cap)
         return cached
 
     elems = sorted_elements(G, caps)
-    gen_lists, first = _enumerate_subgroups(G, elems, cap, limit is not None)
+    gen_lists, first = _enumerate_subgroups(G, elems, cap)
     atoms: dict[int, Permutation] = {}
     groups = [PermGroup(G.degree, [atoms.setdefault(a, Permutation(elems[a])) for a in gens])
               for gens in gen_lists]
@@ -630,8 +629,8 @@ def _subgroup_table(G: PermGroup, limit: int | None,
     return groups, first
 
 
-def _enumerate_subgroups(G: PermGroup, elems: tuple[RawPerm, ...], cap: int,
-                         explicit: bool) -> tuple[list[tuple[int, ...]], list[int]]:
+def _enumerate_subgroups(G: PermGroup, elems: tuple[RawPerm, ...],
+                         cap: int) -> tuple[list[tuple[int, ...]], list[int]]:
     """The generator indices into `elems` of every subgroup, in result order,
     and the list position of the first member of each one's class."""
     n = len(elems)
@@ -663,7 +662,7 @@ def _enumerate_subgroups(G: PermGroup, elems: tuple[RawPerm, ...], cap: int,
         found[mask] = entry
         new.append(mask)
         if len(found) > cap:
-            raise _limit_exceeded(len(found), cap, explicit)
+            raise _limit_exceeded(len(found), cap)
         if mask in conj:
             return
         conj[mask] = (mask, None, None)
@@ -792,7 +791,7 @@ class RadicalFactorization:
         return [q.order() for q in self.quotients]
 
 
-def radical_factorization(G: PermGroup, caps: Caps | None = None) -> RadicalFactorization:
+def radical_factorization(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> RadicalFactorization:
     """Maximal normals H₁..Hₙ with ⋂Hᵢ = Rad(G), each removal breaking that equality.
 
     Verifies the order identity |G/Rad| = ∏ |G/Hᵢ| and that each quotient is
@@ -845,7 +844,7 @@ def radical_factorization(G: PermGroup, caps: Caps | None = None) -> RadicalFact
     return RadicalFactorization(G, radical, family, quotients)
 
 
-def simple_quotients(G: PermGroup, caps: Caps | None = None) -> list[PermGroup]:
+def simple_quotients(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> list[PermGroup]:
     """Iso-type representatives of G/H over maximal normal H."""
     if G.order() == 1:
         return []
@@ -869,7 +868,7 @@ def has_prime_order_quotient(G: PermGroup) -> bool:
 
 
 def complement_exists(G: PermGroup, N: PermGroup,
-                      caps: Caps | None = None) -> PermGroup | None:
+                      caps: Caps = DEFAULT_CAPS) -> PermGroup | None:
     """A subgroup K with K ∩ N = 1 and KN = G, or None.
 
     Searches lifts of a generating sequence of G/N: a complement maps

@@ -21,7 +21,7 @@ from .classes import (
     classify,
     parse_class_expr,
 )
-from .config import Caps, effective_caps
+from .config import DEFAULT_CAPS, Caps
 from .errors import CapExceeded, ClasslabError, FalsificationAlarm
 from .perm import (
     GroupHom,
@@ -47,6 +47,7 @@ from .realization import (
     split_check,
 )
 from .structure import (
+    _is_prime,
     _prime_factors,
     baer_radical,
     center,
@@ -105,10 +106,10 @@ class CheckResult:
 class SuiteContext:
     """Shared catalog, caps, evaluator and lazily built fixtures."""
 
-    def __init__(self, catalog: Catalog, caps: Caps, ev: ClassEval | None = None):
+    def __init__(self, catalog: Catalog, caps: Caps):
         self.catalog = catalog
         self.caps = caps
-        self.ev = ev if ev is not None else ClassEval(caps)
+        self.ev = ClassEval(caps)
         self._small_realizations: list | None = None
         self._iso_trios: list | None = None
 
@@ -149,10 +150,6 @@ class SuiteContext:
             out.append(("C2-in-C4", realize(cyclic(2), top=cyclic(4), caps=self.caps)))
             self._small_realizations = out
         return self._small_realizations
-
-
-def _is_prime(n: int) -> bool:
-    return n > 1 and _prime_factors(n) == [n]
 
 
 def _iso(A: PermGroup, B: PermGroup, caps: Caps) -> bool:
@@ -470,13 +467,16 @@ _ISO_CLOSURE_EXPRS = [
 
 @_register("classes-iso-closure")
 def _chk_classes_iso_closure(ctx: SuiteContext):
-    """Membership verdicts agree across differently realized isomorphic copies."""
+    """Membership verdicts agree across differently realized isomorphic copies.
+
+    Each copy has an evaluator of its own: one shared evaluator would answer
+    the second and third copies from its memo of the first."""
     bad = []
-    for label, (A, B, C) in ctx.iso_trios():
+    for label, trio in ctx.iso_trios():
+        evs = [ClassEval(ctx.caps) for _ in trio]
         for text in _ISO_CLOSURE_EXPRS:
             expr = ctx.parse(text)
-            verdicts = {ctx.ev.member(expr, A), ctx.ev.member(expr, B),
-                        ctx.ev.member(expr, C)}
+            verdicts = {ev.member(expr, X) for ev, X in zip(evs, trio)}
             if len(verdicts) != 1:
                 bad.append({"class": text, "trio": label})
     return {"disagreements": bad} if bad else None
@@ -1016,11 +1016,10 @@ def _chk_factor_permutation_samples(ctx: SuiteContext):
 # runner
 # ---------------------------------------------------------------------------
 
-def run_suite(catalog: Catalog, caps: Caps | None = None,
+def run_suite(catalog: Catalog, caps: Caps = DEFAULT_CAPS,
               name_filter: str | None = None) -> list[CheckResult]:
     """Run the registered checks in order, optionally keeping only those whose
     name contains the filter substring."""
-    caps = effective_caps(caps)
     ctx = SuiteContext(catalog, caps)
     results: list[CheckResult] = []
     for name, fn in CHECKS:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .config import Caps, effective_caps
+from .config import DEFAULT_CAPS, Caps
 from .errors import CapExceeded, InvalidInput, ParseError
 from .perm import PermGroup, Permutation, generate, trivial_group
 from .structure import fingerprint, is_abelian, is_cyclic, isomorphic, subgroup_classes, subgroups
@@ -132,7 +132,7 @@ def parse_group_spec(text: str) -> PermGroup:
     return dihedral(n)
 
 
-def recognize_name(G: PermGroup, caps: Caps | None = None) -> str | None:
+def recognize_name(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> str | None:
     """A conventional name for the group's iso-type, if it has one here.
 
     A group too large to compare within the caps gets no name.
@@ -147,7 +147,7 @@ def recognize_name(G: PermGroup, caps: Caps | None = None) -> str | None:
         return None
     if n == 4 and is_abelian(G):
         return "V4"
-    if n > effective_caps(caps).iso_cap:
+    if n > caps.iso_cap:
         return None  # before building the candidates: D_n alone has n/2 points
     candidates: list[tuple[str, PermGroup]] = []
     for k in range(3, 8):
@@ -221,7 +221,7 @@ def default_extras(sym_degree: int = DEFAULT_SYM_DEGREE) -> list[str]:
 
 def build_universe(sym_degree: int = DEFAULT_SYM_DEGREE,
                    extras: list[str] | None = None,
-                   caps: Caps | None = None) -> Catalog:
+                   caps: Caps = DEFAULT_CAPS) -> Catalog:
     """All subgroups of S_d up to isomorphism, plus deduplicated named extras."""
     if sym_degree < 1 or sym_degree > 6:
         raise InvalidInput("supported symmetric degrees are 1..6")
@@ -276,7 +276,7 @@ def save_catalog(catalog: Catalog, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_catalog(path: str, caps: Caps | None = None) -> Catalog:
+def load_catalog(path: str, caps: Caps = DEFAULT_CAPS) -> Catalog:
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != FORMAT_VERSION:

@@ -1,10 +1,13 @@
-"""Every `caps` parameter in the package is read.
+"""Every `caps` parameter in the package is read, and has one default.
 
 A function reads its `caps` when it uses the name in any way other than as
 an argument of a call, or when it passes it to a function whose own `caps`
 is read, or to a callee the package does not define.  Callees are resolved
 by name over `src/classlab/*.py` (a class name stands for its `__init__`),
 so a parameter that only travels down to functions that ignore it is found.
+
+A `caps` parameter either has no default or defaults to `DEFAULT_CAPS`; it
+is never optional, so no function resolves a missing value itself.
 """
 import ast
 from pathlib import Path
@@ -84,6 +87,33 @@ def unused_caps(paths) -> list[str]:
     return sorted(set(uses) - live)
 
 
+def _caps_param(fn: ast.AST) -> tuple[ast.arg, ast.expr | None]:
+    """The `caps` parameter of a function and its default (None for none)."""
+    a = fn.args
+    positional = a.posonlyargs + a.args
+    defaults = [None] * (len(positional) - len(a.defaults)) + list(a.defaults)
+    pairs = list(zip(positional, defaults)) + list(zip(a.kwonlyargs, a.kw_defaults))
+    return next((p, d) for p, d in pairs if p.arg == "caps")
+
+
+def misdefaulted_caps(paths) -> list[str]:
+    """Names of functions whose `caps` has a default other than DEFAULT_CAPS
+    or an annotation that admits None."""
+    bad = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if not _takes_caps(fn):
+                continue
+            param, default = _caps_param(fn)
+            wrong_default = default is not None and not (
+                isinstance(default, ast.Name) and default.id == "DEFAULT_CAPS")
+            optional = param.annotation is not None and "None" in ast.unparse(param.annotation)
+            if wrong_default or optional:
+                bad.append(f"{path.stem}.{getattr(fn, 'name', '<lambda>')}")
+    return sorted(bad)
+
+
 def test_every_caps_parameter_is_read():
     assert unused_caps(sorted(SRC.glob("*.py"))) == []
 
@@ -101,3 +131,21 @@ def test_finds_caps_only_passed_to_functions_that_ignore_it(tmp_path):
         "    def make(self, caps=None):\n        return Box(caps)\n")
     assert unused_caps([src]) == ["mod.Box.__init__", "mod.Box.make", "mod.leaf",
                                   "mod.relay"]
+
+
+def test_every_caps_parameter_defaults_to_default_caps():
+    assert misdefaulted_caps(sorted(SRC.glob("*.py"))) == []
+
+
+def test_finds_caps_defaults_other_than_default_caps(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "def required(x, caps):\n    return caps\n"
+        "def shared(x, caps=DEFAULT_CAPS):\n    return caps\n"
+        "def keyword(x, *, caps=DEFAULT_CAPS):\n    return caps\n"
+        "def none(x, caps=None):\n    return caps\n"
+        "def fresh(x, caps=Caps()):\n    return caps\n"
+        "def optional(x, caps: Caps | None = DEFAULT_CAPS):\n    return caps\n"
+        "def keyword_none(x, *, caps=None):\n    return caps\n")
+    assert misdefaulted_caps([src]) == ["mod.fresh", "mod.keyword_none", "mod.none",
+                                        "mod.optional"]

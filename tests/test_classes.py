@@ -354,7 +354,8 @@ def test_dual_iter_zero_is_base(ev):
 
 
 def test_dual_chain_depth_cap(ev):
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match=r"^dual-iteration depth 6 exceeds configured "
+                                          r"depth 5; raise it with Caps\(dual_depth=\.\.\.\)$"):
         ev.dual_chain_member(Solvable(), cyclic(2), 6)
     deep = ClassEval(Caps(dual_depth=8))
     assert deep.dual_chain_member(Trivial(), cyclic(2), 6) in (True, False)

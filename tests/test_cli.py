@@ -233,6 +233,16 @@ class TestUniverseBuild:
         assert text.startswith("classlab-universe v1")
         assert not (tmp_path / "universe.json").exists()
 
+    def test_options_go_after_build(self, capsys, tmp_path):
+        # `build` would overwrite an option given before it with its default.
+        with pytest.raises(SystemExit) as exc:
+            main(["universe", "--enum-cap", "5", "build", "--sym-degree", "3",
+                  "--out", str(tmp_path / "u.txt")])
+        assert exc.value.code == 2
+        code, _, err = run_cli(capsys, "universe", "build", "--enum-cap", "5",
+                               "--sym-degree", "3", "--out", str(tmp_path / "u.txt"))
+        assert code == 3 and "enumeration cap 5" in err
+
 
 class TestSelftestCommand:
     def test_filtered_run(self, capsys, small_universe):
@@ -327,11 +337,12 @@ class TestCapsPlumbing:
         code, _, err = run_cli(capsys, "search", "S4", "C1")
         assert code == 3 and err == expected
 
-    def test_search_limit_message_names_search_limit(self, capsys):
-        code, _, err = run_cli(capsys, "search", "S4", "C1", "--limit", "10")
-        assert code == 3
-        assert "subgroup count 11 exceeds subgroup limit 10" in err
-        assert "search --limit" in err
+    def test_search_has_no_limit_option(self, capsys):
+        # --subgroup-limit is the one bound on the subgroups search scans.
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "S4", "C1", "--limit", "10"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --limit 10" in capsys.readouterr().err
 
     @pytest.mark.parametrize("env,flag", [("0", None), ("-3", None), ("two", None),
                                           (None, "0"), (None, "-1")])

@@ -158,7 +158,8 @@ def test_brute_normalizer_requires_subgroup():
 def test_brute_normalizer_cap_message():
     S4 = symmetric(4)
     C4 = generate(["(1 2 3 4)"], 4)
-    with pytest.raises(CapExceeded, match=r"^order 24 exceeds enumeration cap 23$"):
+    with pytest.raises(CapExceeded, match=r"^order 24 exceeds enumeration cap 23; "
+                                          r"raise it with --enum-cap or CLASSLAB_ENUM_CAP$"):
         brute_normalizer(S4, C4, Caps(enum_cap=23))
     assert brute_normalizer(S4, C4, Caps(enum_cap=24)).order() == 8
 

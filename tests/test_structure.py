@@ -644,14 +644,14 @@ class TestSubgroups:
         G = S4()
         G._cache.pop("subgroups", None)
         with pytest.raises(SubgroupLimitExceeded):
-            subgroups(G, limit=10)
+            subgroups(G, caps=Caps(subgroup_limit=10))
 
     def test_cached_list_longer_than_limit_raises(self):
         G = S4()
         assert len(subgroups(G)) == 30
         with pytest.raises(SubgroupLimitExceeded):
-            subgroups(G, limit=29)
-        assert len(subgroups(G, limit=30)) == 30
+            subgroups(G, caps=Caps(subgroup_limit=29))
+        assert len(subgroups(G, caps=Caps(subgroup_limit=30))) == 30
 
     def test_limit_counts_cyclic_atoms(self):
         # C6 has four subgroups, all cyclic, so no join adds one: the first
@@ -659,13 +659,13 @@ class TestSubgroups:
         C6 = parse_group_spec("C6")
         for _ in range(2):
             with pytest.raises(SubgroupLimitExceeded):
-                subgroups(C6, limit=1)
-        assert len(subgroups(C6, limit=4)) == 4
+                subgroups(C6, caps=Caps(subgroup_limit=1))
+        assert len(subgroups(C6, caps=Caps(subgroup_limit=4))) == 4
 
     @pytest.mark.parametrize("spec,limit", [("S5", 100), ("A6", 50)])
     def test_limit_stops_large_enumeration(self, spec, limit):
         with pytest.raises(SubgroupLimitExceeded):
-            subgroups(parse_group_spec(spec), limit=limit)
+            subgroups(parse_group_spec(spec), caps=Caps(subgroup_limit=limit))
 
     LIMIT_HINT = "raise it with --subgroup-limit or CLASSLAB_SUBGROUP_LIMIT"
 
@@ -678,16 +678,6 @@ class TestSubgroups:
         with pytest.raises(SubgroupLimitExceeded) as exc:
             subgroups(G, caps=Caps(subgroup_limit=29))
         assert str(exc.value) == f"subgroup count 30 exceeds subgroup limit 29; {self.LIMIT_HINT}"
-
-    def test_explicit_limit_message_names_the_limit_argument(self):
-        C6 = parse_group_spec("C6")
-        for cached in (False, True):
-            if cached:
-                subgroups(C6)
-            with pytest.raises(SubgroupLimitExceeded) as exc:
-                subgroups(C6, limit=3)
-            assert str(exc.value) == ("subgroup count 4 exceeds subgroup limit 3; raise it "
-                                      "with the limit passed to the enumeration (search --limit)")
 
     # sha256 of the generator lists of subgroups(), recorded before joins
     # were shared across conjugacy classes.

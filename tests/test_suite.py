@@ -2,6 +2,7 @@ import re
 
 import pytest
 
+from classlab import classes
 from classlab.config import Caps
 from classlab.suite import CHECKS, CheckResult, check_names, run_suite
 from classlab.universe import build_universe
@@ -63,6 +64,16 @@ class TestRunSuite:
         assert len(results) == 1
         assert results[0].status == "skipped"
         assert "reason" in results[0].witness
+
+    def test_iso_closure_sees_a_verdict_that_depends_on_the_realization(
+            self, d4_catalog, monkeypatch):
+        # A nilpotency test that reads the degree separates isomorphic copies
+        # of different degrees; every trio has such copies.
+        monkeypatch.setattr(classes, "is_nilpotent", lambda G: G.degree <= 5)
+        results = run_suite(d4_catalog, name_filter="classes-iso-closure")
+        assert [r.status for r in results] == ["fail"]
+        assert results[0].witness == {"disagreements": [
+            {"class": "nilpotent", "trio": trio} for trio in ("A5", "S3", "C6")]}
 
 
 class TestCheckResult:

@@ -2,7 +2,7 @@
 import pytest
 
 from classlab import structure, universe
-from classlab.config import Caps
+from classlab.config import DEFAULT_CAPS, Caps
 from classlab.errors import InvalidInput, ParseError
 from classlab.structure import fingerprint, has_prime_order_quotient, isomorphic
 from classlab.universe import (
@@ -157,7 +157,7 @@ class TestBuildUniverse:
     def test_fingerprints_one_subgroup_per_conjugacy_class(self, monkeypatch, degree, classes):
         computed, listed = [], []
 
-        def counted(G, caps=None):
+        def counted(G, caps=DEFAULT_CAPS):
             if "fingerprint" not in G._cache:
                 computed.append(G)
             return fingerprint(G, caps)
