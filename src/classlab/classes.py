@@ -14,7 +14,7 @@ import math
 import weakref
 from dataclasses import dataclass, field
 
-from .config import DEFAULT_CAPS, Caps, raise_hint
+from .config import DEFAULT_CAPS, Caps
 from .errors import CapExceeded, InvalidInput, ParseError
 from .perm import PermGroup
 from .structure import (
@@ -364,23 +364,41 @@ class AuditReport:
 class ClassEval:
     """Membership evaluator with iso-type memoization.
 
-    Groups are canonicalized to iso-type ids through a fingerprint-bucketed
-    registry; a bucket hit is confirmed by a certified isomorphism before the
-    memo entry is shared, so fingerprint collisions can never leak results
-    across genuinely different groups.  Per-group state is keyed weakly, so
-    only the registry's one representative per iso type outlives its caller.
+    Groups are canonicalized to iso-type ids.  A group equal to one seen
+    before as a subgroup of Sym(n) takes its id through the identity map,
+    with no search: either its degree and generator tuple equal those of any
+    group seen before, or it has the degree and order of a representative
+    whose generators it contains.  Any other group goes through a
+    fingerprint-bucketed registry, where a bucket hit is confirmed by a
+    certified isomorphism before the id is shared, so fingerprint collisions
+    can never leak results across genuinely different groups.
+
+    Membership is evaluated on the registry's representative of the id (the
+    first group seen of that type; classes are isomorphism-closed), so its
+    lattice and quotients serve every copy.  `member_trace`, `dual_witness`
+    and `hat_series` still read witnesses and series off the queried group
+    itself.  Per-group state is keyed weakly, so of the groups only the one
+    representative per iso type outlives its caller; the (degree, generator
+    tuple) of every group seen is kept, so a fresh parse of a group seen
+    before, or a copy of it, takes its id with no work.
     """
 
     def __init__(self, caps: Caps = DEFAULT_CAPS):
         self.caps = caps
-        self._registry: dict[tuple, list[tuple[PermGroup, int]]] = {}
+        # fingerprint ↦ the ids of the iso types in that bucket
+        self._registry: dict[tuple, list[int]] = {}
+        # id ↦ the first group seen of that iso type, its representative
+        self._reps: list[PermGroup] = []
+        # (degree, order) ↦ the ids whose representative has them
+        self._by_size: dict[tuple[int, int], list[int]] = {}
+        # (degree, generator tuple) of every group seen ↦ its id
+        self._gid_of_gens: dict[tuple, int] = {}
         self._gid_of: weakref.WeakKeyDictionary[PermGroup, int] = weakref.WeakKeyDictionary()
         self._memo: dict[tuple, bool] = {}
         # G ↦ {lattice index ↦ quotient}, None standing for G/1 = G
         self._quotients: weakref.WeakKeyDictionary[PermGroup, dict[int, PermGroup | None]] = (
             weakref.WeakKeyDictionary())
         self._finite_sets: dict[tuple[str, ...], list[PermGroup]] = {}
-        self._next_gid = 0
 
     # -- canonicalization ------------------------------------------------
 
@@ -388,17 +406,29 @@ class ClassEval:
         gid = self._gid_of.get(G)
         if gid is not None:
             return gid
-        fp = fingerprint(G, self.caps)
-        bucket = self._registry.setdefault(fp, [])
-        for rep, rep_gid in bucket:
-            if isomorphic(rep, G, self.caps) is not None:
-                gid = rep_gid
-                break
-        else:
-            gid = self._next_gid
-            self._next_gid += 1
-            bucket.append((G, gid))
+        gens_key = (G.degree, tuple(G.raw_gens()))
+        gid = self._gid_of_gens.get(gens_key)
+        if gid is None:
+            gid = self._register(G)
+            self._gid_of_gens[gens_key] = gid
         self._gid_of[G] = gid
+        return gid
+
+    def _register(self, G: PermGroup) -> int:
+        # A representative equal to G as a subgroup of Sym(n) is isomorphic
+        # to it through the identity map, so no search runs.
+        same_size = self._by_size.setdefault((G.degree, G.order()), [])
+        for gid in same_size:
+            if self._reps[gid].same_group(G):
+                return gid
+        bucket = self._registry.setdefault(fingerprint(G, self.caps), [])
+        for gid in bucket:
+            if isomorphic(self._reps[gid], G, self.caps) is not None:
+                return gid
+        gid = len(self._reps)
+        self._reps.append(G)
+        same_size.append(gid)
+        bucket.append(gid)
         return gid
 
     def lattice(self, G: PermGroup):
@@ -417,11 +447,12 @@ class ClassEval:
     # -- membership ------------------------------------------------------
 
     def member(self, C: ClassExpr, G: PermGroup) -> bool:
-        key = (C.text(), self.canon_id(G))
+        gid = self.canon_id(G)
+        key = (C.text(), gid)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        value = self._eval(C, G)
+        value = self._eval(C, self._reps[gid])
         self._memo[key] = value
         return value
 
@@ -472,7 +503,7 @@ class ClassEval:
             if C.k > self.caps.dual_depth:
                 raise CapExceeded(
                     f"dual-iteration depth {C.k} exceeds configured depth "
-                    f"{self.caps.dual_depth}; {raise_hint('dual_depth')}")
+                    f"{self.caps.dual_depth}")
             return self.member(_expand_dual_iter(C), G)
         raise InvalidInput(f"unhandled class expression {C!r}")
 

@@ -15,7 +15,7 @@ import time
 
 from . import _IMPORT_STARTED
 from .classes import ClassEval, audit_property, classify, parse_class_expr
-from .config import _ENV_FIELDS, Caps, caps_from_env
+from .config import _ENV_FIELDS, DEFAULT_CAPS, Caps, caps_from_env
 from .errors import (
     CapExceeded,
     DegreeMismatch,
@@ -101,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("classexpr")
     p.add_argument("spec")
     p.add_argument("--k", type=int, default=2, metavar="K",
-                   help="largest dual level to evaluate (default 2)")
+                   help="largest dual level to evaluate (default 2, at most "
+                        f"{DEFAULT_CAPS.dual_depth})")
 
     p = sub.add_parser("realize", parents=[common],
                        help="build a normalizer-quotient certificate for a group")
@@ -298,10 +299,13 @@ def _cmd_audit(args, caps: Caps):
 
 def _cmd_dual_chain(args, caps: Caps):
     started = time.perf_counter()
-    C = parse_class_expr(args.classexpr)
-    G = parse_group_spec(args.spec)
     if args.k < 0:
         raise InvalidInput("--k must be nonnegative")
+    if args.k > caps.dual_depth:
+        raise CapExceeded(f"--k {args.k} exceeds configured dual-iteration depth "
+                          f"{caps.dual_depth}")
+    C = parse_class_expr(args.classexpr)
+    G = parse_group_spec(args.spec)
     ev = ClassEval(caps)
     chain = [{"k": k, "member": ev.dual_chain_member(C, G, k)}
              for k in range(args.k + 1)]

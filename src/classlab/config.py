@@ -13,7 +13,8 @@ class Caps:
     iso_cap: largest order accepted by fingerprinting / isomorphism search.
     subgroup_limit: abort subgroup enumeration beyond this many subgroups.
     coord_cap: largest coordinate count N accepted by the wreath construction.
-    dual_depth: largest k accepted for iterated-dual membership.
+    dual_depth: largest k accepted for iterated-dual membership; a fixed bound
+        with no flag or environment variable.
     """
 
     enum_cap: int = 250_000
@@ -37,11 +38,8 @@ _ENV_FIELDS = {
 
 
 def raise_hint(field_name: str) -> str:
-    """How to raise the cap in a `Caps` field: its flag and environment
-    variable, or the field itself for a cap that has neither."""
-    var = next((v for v, f in _ENV_FIELDS.items() if f == field_name), None)
-    if var is None:
-        return f"raise it with Caps({field_name}=...)"
+    """How to raise the cap in a `Caps` field: its flag and environment variable."""
+    var = next(v for v, f in _ENV_FIELDS.items() if f == field_name)
     return f"raise it with --{field_name.replace('_', '-')} or {var}"
 
 

@@ -5,7 +5,10 @@ import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from classlab import classes
 from classlab.classes import (
     Abelian,
     All,
@@ -32,6 +35,7 @@ from classlab.classes import (
 )
 from classlab.config import Caps
 from classlab.errors import CapExceeded, InvalidInput, ParseError
+from classlab.perm import Permutation, generate, regular_representation
 from classlab.structure import fingerprint, is_p_group, is_solvable, subgroups
 from classlab.universe import (
     Catalog,
@@ -355,7 +359,7 @@ def test_dual_iter_zero_is_base(ev):
 
 def test_dual_chain_depth_cap(ev):
     with pytest.raises(CapExceeded, match=r"^dual-iteration depth 6 exceeds configured "
-                                          r"depth 5; raise it with Caps\(dual_depth=\.\.\.\)$"):
+                                          r"depth 5$"):
         ev.dual_chain_member(Solvable(), cyclic(2), 6)
     deep = ClassEval(Caps(dual_depth=8))
     assert deep.dual_chain_member(Trivial(), cyclic(2), 6) in (True, False)
@@ -567,7 +571,7 @@ def test_memo_shared_across_realizations(ev):
 
 def test_evaluator_does_not_keep_groups_alive(ev):
     # The first S4 becomes the registry's representative of its type; a second
-    # parse is evaluated through its quotients, then dropped by the caller.
+    # parse joins that type, then is dropped by the caller.
     ev.member(Solvable(), parse_group_spec("S4"))
     dual_abelian = Dual(Abelian())
     G = parse_group_spec("S4")
@@ -580,3 +584,135 @@ def test_evaluator_does_not_keep_groups_alive(ev):
     again = parse_group_spec("S4")
     assert ev.member(dual_abelian, again) == answer
     assert ev.canon_id(again) == gid
+
+
+# ---------------------------------------------------------------------------
+# One evaluation per isomorphism type
+
+
+def _conjugate(G, pi):
+    """The conjugate πGπ⁻¹ in Sym(n), as a group with its own generators."""
+    inv = [0] * len(pi)
+    for i, x in enumerate(pi):
+        inv[x] = i
+    return generate([tuple(pi[g[inv[i]]] for i in range(len(pi))) for g in G.raw_gens()],
+                    G.degree)
+
+
+@st.composite
+def iso_copies(draw):
+    """A cyclic group, or its direct product with S3, D8 or Q8 (each factor
+    on its own points), and three isomorphic copies of it: a fresh group on
+    the same generators, a conjugate in Sym(n) and the left-regular image."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    factor = draw(st.sampled_from([None, symmetric(3), dihedral(8), quaternion()]))
+    blocks = [] if factor is None else [factor]
+    blocks.append(cyclic(n))
+    degree = sum(B.degree for B in blocks)
+    gens, offset = [], 0
+    for B in blocks:
+        for g in B.raw_gens():
+            gens.append(tuple(range(offset)) + tuple(offset + x for x in g)
+                        + tuple(range(offset + B.degree, degree)))
+        offset += B.degree
+    G = generate(gens, degree)
+    pi = draw(st.permutations(list(range(degree))).map(tuple), label="pi")
+    return [G, generate(gens, degree), _conjugate(G, pi),
+            regular_representation(G).image()]
+
+
+ORACLE_EXPRS = [
+    "dual(abelian)", "dual(set(C2))", "hat(cyclic)", "hat(p(2))",
+    "dualn(set(C1,C2),2)", "union(p(3),set(S3,Q8))", "set(C6,D8,Q8)",
+    "altge(3)", "inter(nilpotent,dual(cyclic))",
+]
+
+
+@given(iso_copies())
+@settings(max_examples=25, deadline=None)
+def test_shared_evaluator_agrees_with_one_evaluator_per_copy(copies):
+    # A fresh evaluator per copy evaluates each copy on its own lattice; the
+    # shared one evaluates them all on the first copy.  Mutation note: an
+    # evaluator whose verdict reads G.degree separates the two (see the test
+    # below), and it still trips the `classes-iso-closure` check, which gives
+    # each copy its own evaluator (tests/test_suite.py).
+    shared = ClassEval()
+    for text in ORACLE_EXPRS:
+        C = parse_class_expr(text)
+        fresh = [ClassEval().member(C, X) for X in copies]
+        assert len(set(fresh)) == 1, text
+        assert [shared.member(C, X) for X in copies] == fresh, text
+    assert len({shared.canon_id(X) for X in copies}) == 1
+
+
+def test_degree_dependent_verdict_separates_fresh_and_shared_evaluators(monkeypatch):
+    monkeypatch.setattr(classes, "is_nilpotent", lambda G: G.degree <= 5)
+    copies = [symmetric(3), regular_representation(symmetric(3)).image()]
+    assert [ClassEval().member(Nilpotent(), X) for X in copies] == [True, False]
+    shared = ClassEval()
+    assert [shared.member(Nilpotent(), X) for X in copies] == [True, True]
+
+
+@pytest.fixture()
+def work(monkeypatch):
+    """The arguments of every isomorphism search, fingerprint and lattice
+    the evaluator asks for."""
+    calls = {"isomorphic": [], "fingerprint": [], "normal_subgroups": []}
+    for name, log in calls.items():
+        real = getattr(classes, name)
+
+        def counted(*args, _real=real, _log=log):
+            _log.append(args)
+            return _real(*args)
+
+        monkeypatch.setattr(classes, name, counted)
+    return calls
+
+
+def test_equal_subgroups_join_their_type_without_a_search(work):
+    ev = ClassEval()
+    first = parse_group_spec("S5")
+    fnr = Dual(Solvable())
+    assert not ev.member(fnr, first)
+    assert len(work["fingerprint"]) > 0
+    for log in work.values():
+        log.clear()
+    # a fresh parse has the same generators; S5 on other generators is the
+    # same subgroup of Sym(5)
+    again = parse_group_spec("S5")
+    regenerated = generate(["(1 2 3 4 5)", "(1 2)", "(1 3)"], 5)
+    for G in (again, regenerated):
+        assert not ev.member(fnr, G)
+        assert ev.canon_id(G) == ev.canon_id(first)
+    assert work["isomorphic"] == [] and work["fingerprint"] == []
+
+
+def test_conjugated_copy_is_searched_once_and_evaluated_on_the_representative(work):
+    ev = ClassEval()
+    rep = dihedral(8)
+    dual_abelian, hat_cyclic = Dual(Abelian()), Hat(Cyclic())
+    assert not ev.member(dual_abelian, rep)
+    for log in work.values():
+        log.clear()
+    # conjugating by (2 3) moves D8 to another of the three D8s in S4
+    copy = _conjugate(rep, (0, 2, 1, 3))
+    assert not copy.same_group(rep)
+    assert not ev.member(dual_abelian, copy)
+    assert len(work["isomorphic"]) == 1 and len(work["fingerprint"]) == 1
+    # new expressions search only among the representative's quotients
+    assert ev.member(hat_cyclic, copy)
+    assert not ev.member(Dual(Cyclic()), copy)
+    assert [args for args in work["isomorphic"] if copy in args] == [work["isomorphic"][0]]
+    assert all(args[0] is not copy for args in work["normal_subgroups"])
+    assert "normal_lattice" not in copy._cache
+
+    # traces are read off the copy itself
+    def perms(gen_strings):
+        return [Permutation.from_cycles(s, 4) for s in gen_strings]
+
+    _, trace = ev.member_trace(dual_abelian, copy)
+    assert all(copy.contains(p) for p in perms(trace["witness_normal_gens"]))
+    _, trace = ev.member_trace(hat_cyclic, copy)
+    assert trace["series_gens"][-1] == copy.gen_strings()
+    assert all(copy.contains(p) for gens in trace["series_gens"] for p in perms(gens))
+    assert not all(rep.contains(p) for p in perms(trace["series_gens"][-1]))

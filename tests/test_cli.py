@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from classlab import cli
 from classlab.cli import main
 
 
@@ -168,6 +169,15 @@ class TestDualChainCommand:
                                "--k", "9")
         assert code == 3
         assert "cap exceeded" in err
+
+    def test_k_past_the_depth_is_refused_before_any_evaluation(self, capsys, monkeypatch):
+        def fail(*args):
+            raise AssertionError("dual-chain evaluated a level past the depth")
+
+        monkeypatch.setattr(cli.ClassEval, "dual_chain_member", fail)
+        code, out, err = run_cli(capsys, "dual-chain", "abelian", "C4", "--k", "7")
+        assert (code, out) == (3, "")
+        assert err == "cap exceeded: --k 7 exceeds configured dual-iteration depth 5\n"
 
 
 class TestRealizeCommand:
