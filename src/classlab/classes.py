@@ -7,10 +7,16 @@ contains the groups built by iterated extensions with C-quotients.  Audits
 check the closure properties (subgroups, quotients, extensions, fibered
 products) relative to a finite catalog, and every such verdict is explicitly
 catalog-relative.
+
+Each operator of the expression language is one row of `_OPS`: the
+converters that read and check its arguments, and its membership rule.  An
+expression is a tree of one node type, `ClassExpr(op, *args)`; the parser
+walks the table, and `ClassEval` evaluates a node by its row's rule.
 """
 from __future__ import annotations
 
 import math
+import re
 import weakref
 from dataclasses import dataclass, field
 
@@ -42,273 +48,80 @@ from .universe import Catalog, alternating, parse_group_spec
 
 
 class ClassExpr:
-    """Base for class-expression nodes; subclasses are frozen dataclasses.
+    """One node of a class expression: an operator of `_OPS` and its
+    arguments, already converted (primes, counts, group specs, nodes).
 
-    `text()` is canonical and re-parsable, so equal texts denote the same
-    class; `ClassEval` keys its memo by it.
+    The canonical text is computed once, when the node is built, and it is
+    the node's identity: expressions are equal, and hash alike, exactly when
+    their texts are, so `pi(3,2)` is `pi(2,3)`.  The text re-parses to an
+    equal node, and `ClassEval` keys its memo by it.
     """
 
+    __slots__ = ("op", "args", "_text")
+
+    def __init__(self, op: str, *args):
+        if op not in _OPS:
+            raise InvalidInput(f"unknown class operator {op!r}")
+        if op == "pi":  # a set of primes: one order, no repeats
+            args = tuple(sorted(set(args)))
+        self.op = op
+        self.args = args
+        self._text = f"{op}({','.join(map(str, args))})" if args else op
+
     def text(self) -> str:
-        raise NotImplementedError
+        return self._text
 
-    def __str__(self) -> str:
-        return self.text()
+    __str__ = text
 
+    def __repr__(self) -> str:
+        return f"ClassExpr({self._text!r})"
 
-def _atom(kind: str):
-    class Node(ClassExpr):
-        __slots__ = ()
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ClassExpr) and other._text == self._text
 
-        def text(self):
-            return kind
-
-        def __eq__(self, other):
-            return type(other) is type(self)
-
-        def __hash__(self):
-            return hash((kind,))
-
-    Node.__name__ = kind.capitalize()
-    return Node
-
-
-Trivial = _atom("trivial")
-All = _atom("all")
-Abelian = _atom("abelian")
-Cyclic = _atom("cyclic")
-Nilpotent = _atom("nilpotent")
-Solvable = _atom("solvable")
-Simple = _atom("simple")
-
-
-@dataclass(frozen=True)
-class PGroup(ClassExpr):
-    p: int
-
-    def __post_init__(self):
-        if not _is_prime(self.p):
-            raise InvalidInput(f"{self.p} is not prime")
-
-    def text(self):
-        return f"p({self.p})"
-
-
-@dataclass(frozen=True)
-class Pi(ClassExpr):
-    primes: tuple[int, ...]
-
-    def __post_init__(self):
-        for p in self.primes:
-            if not _is_prime(p):
-                raise InvalidInput(f"{p} is not prime")
-
-    def text(self):
-        return "pi({})".format(",".join(str(p) for p in sorted(set(self.primes))))
-
-
-@dataclass(frozen=True)
-class OrderAtMost(ClassExpr):
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise InvalidInput(f"le({self.n}) needs n >= 1")
-
-    def text(self):
-        return f"le({self.n})"
-
-
-@dataclass(frozen=True)
-class AltGE(ClassExpr):
-    """Alternating groups A_m for m ≥ n, together with the trivial group."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise InvalidInput(f"altge({self.n}) needs n >= 1")
-
-    def text(self):
-        return f"altge({self.n})"
-
-
-@dataclass(frozen=True)
-class FiniteSet(ClassExpr):
-    specs: tuple[str, ...]
-
-    def text(self):
-        return "set({})".format(",".join(self.specs))
-
-
-@dataclass(frozen=True)
-class Union(ClassExpr):
-    a: ClassExpr
-    b: ClassExpr
-
-    def text(self):
-        return f"union({self.a.text()},{self.b.text()})"
-
-
-@dataclass(frozen=True)
-class Intersect(ClassExpr):
-    a: ClassExpr
-    b: ClassExpr
-
-    def text(self):
-        return f"inter({self.a.text()},{self.b.text()})"
-
-
-@dataclass(frozen=True)
-class Dual(ClassExpr):
-    a: ClassExpr
-
-    def text(self):
-        return f"dual({self.a.text()})"
-
-
-@dataclass(frozen=True)
-class Hat(ClassExpr):
-    a: ClassExpr
-
-    def text(self):
-        return f"hat({self.a.text()})"
-
-
-@dataclass(frozen=True)
-class DualIter(ClassExpr):
-    a: ClassExpr
-    k: int
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise InvalidInput("dual iteration count must be >= 0")
-
-    def text(self):
-        return f"dualn({self.a.text()},{self.k})"
+    def __hash__(self) -> int:
+        return hash(self._text)
 
 
 # ---------------------------------------------------------------------------
-# Grammar
-
-
-_ATOMS = {
-    "trivial": Trivial,
-    "all": All,
-    "abelian": Abelian,
-    "cyclic": Cyclic,
-    "nilpotent": Nilpotent,
-    "solvable": Solvable,
-    "simple": Simple,
-}
+# Grammar: a name, then its arguments, each read by its row's converter
 
 
 def parse_class_expr(text: str) -> ClassExpr:
-    """Parse the class grammar, e.g. ``dual(union(set(C4,Q8),p(2)))``."""
-    expr, pos = _parse_expr(text, 0)
+    """Parse the class grammar, e.g. ``dual(union(set(C4,Q8),p(2)))``.
+
+    Names are case-insensitive; `fnr` is read as `dual(solvable)`.
+    """
+    m = re.match(r"\s*(\w*)\s*", text)
+    name, pos = m.group(1).lower(), m.end()
+    if not name:
+        raise ParseError(f"expected a class name at position {pos} in {text!r}")
+    args: list[str] = []
+    if text.startswith("(", pos):
+        args, pos = _split_args(text, pos)
     if text[pos:].strip():
         raise ParseError(f"trailing input {text[pos:]!r} in class expression")
-    return expr
-
-
-def _skip_ws(text: str, pos: int) -> int:
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    return pos
-
-
-def _parse_expr(text: str, pos: int) -> tuple[ClassExpr, int]:
-    pos = _skip_ws(text, pos)
-    start = pos
-    while pos < len(text) and (text[pos].isalnum() or text[pos] == "_"):
-        pos += 1
-    name = text[start:pos].lower()
-    if not name:
-        raise ParseError(f"expected a class name at position {start} in {text!r}")
-    pos = _skip_ws(text, pos)
-    has_args = pos < len(text) and text[pos] == "("
-
-    if name in _ATOMS:
-        if has_args:
-            raise ParseError(f"class {name!r} takes no arguments")
-        return _ATOMS[name](), pos
-    if name == "fnr":
-        if has_args:
-            raise ParseError("class 'fnr' takes no arguments")
-        return Dual(Solvable()), pos
-
-    if not has_args:
+    if name == "fnr":  # dual(solvable), by definition
+        if args:
+            raise ParseError("fnr takes no arguments")
+        return ClassExpr("dual", ClassExpr("solvable"))
+    if name not in _OPS:
         raise ParseError(f"unknown class name {name!r}")
-    args, pos = _parse_args(text, pos)
-
-    def ints(n_expected: int) -> list[int]:
-        if len(args) != n_expected:
-            raise ParseError(f"{name} expects {n_expected} argument(s)")
-        out = []
-        for a in args:
-            try:
-                out.append(int(a.strip()))
-            except ValueError:
-                raise ParseError(f"non-integer argument {a!r} for {name}") from None
-        return out
-
-    try:
-        if name == "p":
-            return PGroup(ints(1)[0]), pos
-        if name == "pi":
-            if not args or not all(a.strip() for a in args):
-                raise ParseError("pi expects at least one prime")
-            return Pi(tuple(int(a.strip()) for a in args)), pos
-        if name == "le":
-            return OrderAtMost(ints(1)[0]), pos
-        if name == "altge":
-            return AltGE(ints(1)[0]), pos
-    except InvalidInput as exc:
-        raise ParseError(str(exc)) from None
-    except ValueError:
-        raise ParseError(f"non-integer argument for {name}") from None
-    if name == "set":
-        specs = tuple(a.strip() for a in args if a.strip())
-        if not specs:
-            raise ParseError("set(...) needs at least one group spec")
-        canonical = tuple(_canonical_spec(s) for s in specs)
-        for spec in canonical:
-            parse_group_spec(spec)
-        return FiniteSet(canonical), pos
-    if name in ("union", "inter"):
-        if len(args) != 2:
-            raise ParseError(f"{name} expects 2 arguments")
-        a = parse_class_expr(args[0])
-        b = parse_class_expr(args[1])
-        return (Union(a, b) if name == "union" else Intersect(a, b)), pos
-    if name == "dual":
-        if len(args) != 1:
-            raise ParseError("dual expects 1 argument")
-        return Dual(parse_class_expr(args[0])), pos
-    if name == "hat":
-        if len(args) != 1:
-            raise ParseError("hat expects 1 argument")
-        return Hat(parse_class_expr(args[0])), pos
-    if name == "dualn":
-        if len(args) != 2:
-            raise ParseError("dualn expects 2 arguments")
-        inner = parse_class_expr(args[0])
-        try:
-            k = int(args[1].strip())
-        except ValueError:
-            raise ParseError(f"non-integer depth {args[1]!r} for dualn") from None
-        if k < 0:
-            raise ParseError("dualn depth must be >= 0")
-        return DualIter(inner, k), pos
-    raise ParseError(f"unknown class name {name!r}")
+    convs = _OPS[name][0]
+    if convs[-1:] == (...,):  # one or more arguments, all read alike
+        convs = convs[:1] * max(len(args), 1)
+    if len(args) != len(convs):
+        raise ParseError(f"{name} takes {len(convs)} argument(s), not {len(args)}")
+    return ClassExpr(name, *(conv(a.strip()) for conv, a in zip(convs, args)))
 
 
-def _parse_args(text: str, pos: int) -> tuple[list[str], int]:
-    assert text[pos] == "("
+def _split_args(text: str, pos: int) -> tuple[list[str], int]:
+    """The top-level arguments of the parenthesis at `pos`, and the position
+    after its closing parenthesis."""
     depth = 0
     args: list[str] = []
     buf: list[str] = []
-    i = pos
-    while i < len(text):
+    for i in range(pos, len(text)):
         ch = text[i]
         if ch == "(":
             depth += 1
@@ -325,14 +138,41 @@ def _parse_args(text: str, pos: int) -> tuple[list[str], int]:
             buf = []
         else:
             buf.append(ch)
-        i += 1
     raise ParseError(f"unbalanced parentheses in {text!r}")
 
 
-def _canonical_spec(spec: str) -> str:
-    if spec.lower().startswith("perm"):
-        return spec
-    return spec.upper()
+def _int(arg: str) -> int:
+    try:
+        return int(arg)
+    except ValueError:
+        raise ParseError(f"non-integer argument {arg!r}") from None
+
+
+def _prime(arg: str) -> int:
+    p = _int(arg)
+    if not _is_prime(p):
+        raise ParseError(f"{p} is not prime")
+    return p
+
+
+def _positive(arg: str) -> int:
+    n = _int(arg)
+    if n < 1:
+        raise ParseError(f"argument {n} needs n >= 1")
+    return n
+
+
+def _count(arg: str) -> int:
+    k = _int(arg)
+    if k < 0:
+        raise ParseError(f"iteration count {k} needs k >= 0")
+    return k
+
+
+def _spec(arg: str) -> str:
+    spec = arg if arg.lower().startswith("perm") else arg.upper()
+    parse_group_spec(spec)
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -452,62 +292,19 @@ class ClassEval:
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        value = self._eval(C, self._reps[gid])
+        value = _OPS[C.op][1](self, self._reps[gid], *C.args)
         self._memo[key] = value
         return value
 
-    def _finite_set_members(self, specs: tuple[str, ...]) -> list[PermGroup]:
+    def _in_finite_set(self, G: PermGroup, *specs: str) -> bool:
         groups = self._finite_sets.get(specs)
         if groups is None:
-            groups = [parse_group_spec(s) for s in specs]
-            self._finite_sets[specs] = groups
-        return groups
+            groups = self._finite_sets[specs] = [parse_group_spec(s) for s in specs]
+        return any(G.order() == M.order() and isomorphic(G, M, self.caps) is not None
+                   for M in groups)
 
-    def _eval(self, C: ClassExpr, G: PermGroup) -> bool:
-        if isinstance(C, Trivial):
-            return G.order() == 1
-        if isinstance(C, All):
-            return True
-        if isinstance(C, Abelian):
-            return is_abelian(G)
-        if isinstance(C, Cyclic):
-            return is_cyclic(G, self.caps)
-        if isinstance(C, Nilpotent):
-            return is_nilpotent(G)
-        if isinstance(C, Solvable):
-            return is_solvable(G)
-        if isinstance(C, Simple):
-            return is_simple(G, self.caps)
-        if isinstance(C, PGroup):
-            return is_p_group(G, C.p)
-        if isinstance(C, Pi):
-            allowed = set(C.primes)
-            return all(p in allowed for p in _prime_factors(G.order()))
-        if isinstance(C, OrderAtMost):
-            return G.order() <= C.n
-        if isinstance(C, AltGE):
-            return self._alt_ge(C.n, G)
-        if isinstance(C, FiniteSet):
-            return any(G.order() == M.order()
-                       and isomorphic(G, M, self.caps) is not None
-                       for M in self._finite_set_members(C.specs))
-        if isinstance(C, Union):
-            return self.member(C.a, G) or self.member(C.b, G)
-        if isinstance(C, Intersect):
-            return self.member(C.a, G) and self.member(C.b, G)
-        if isinstance(C, Dual):
-            return self.dual_witness(C.a, G) is None
-        if isinstance(C, Hat):
-            return self.hat_series(C.a, G) is not None
-        if isinstance(C, DualIter):
-            if C.k > self.caps.dual_depth:
-                raise CapExceeded(
-                    f"dual-iteration depth {C.k} exceeds configured depth "
-                    f"{self.caps.dual_depth}")
-            return self.member(_expand_dual_iter(C), G)
-        raise InvalidInput(f"unhandled class expression {C!r}")
-
-    def _alt_ge(self, n: int, G: PermGroup) -> bool:
+    def _alt_ge(self, G: PermGroup, n: int) -> bool:
+        """A_m for some m >= n, or the trivial group."""
         order = G.order()
         if order == 1:
             return True
@@ -540,7 +337,7 @@ class ClassEval:
         assert _above is None or G.order() < _above, "series recursion must descend"
         if G.order() == 1:
             return [G]
-        hat_key = (Hat(C).text(), self.canon_id(G))
+        hat_key = (ClassExpr("hat", C).text(), self.canon_id(G))
         if self._memo.get(hat_key) is False:
             return None
         lat = self.lattice(G)
@@ -576,7 +373,15 @@ class ClassEval:
         return all(self.member(C, Q) for Q in fac.quotients)
 
     def dual_chain_member(self, C: ClassExpr, G: PermGroup, k: int) -> bool:
-        return self.member(DualIter(C, k), G)
+        return self.member(ClassExpr("dualn", C, k), G)
+
+    def _dual_iter(self, G: PermGroup, C: ClassExpr, k: int) -> bool:
+        if k > self.caps.dual_depth:
+            raise CapExceeded(f"dual-iteration depth {k} exceeds configured depth "
+                              f"{self.caps.dual_depth}")
+        for _ in range(k):
+            C = ClassExpr("dual", C)
+        return self.member(C, G)
 
     # -- tracing ---------------------------------------------------------
 
@@ -585,8 +390,8 @@ class ClassEval:
         dual, or the found series for an associated class."""
         value = self.member(C, G)
         trace: dict = {}
-        if isinstance(C, Dual) and not value:
-            witness = self.dual_witness(C.a, G)
+        if C.op == "dual" and not value:
+            witness = self.dual_witness(C.args[0], G)
             assert witness is not None
             idx = self.lattice(G).members.index(witness)
             Q = self.quotient_at(G, idx)
@@ -595,19 +400,43 @@ class ClassEval:
                 "witness_normal_gens": witness.gen_strings(),
                 "quotient_order": Q.order(),
             }
-        elif isinstance(C, Hat) and value:
-            series = self.hat_series(C.a, G)
+        elif C.op == "hat" and value:
+            series = self.hat_series(C.args[0], G)
             assert series is not None
             trace = {"series_orders": [S.order() for S in series],
                      "series_gens": [S.gen_strings() for S in series]}
         return value, trace
 
 
-def _expand_dual_iter(C: DualIter) -> ClassExpr:
-    expr: ClassExpr = C.a
-    for _ in range(C.k):
-        expr = Dual(expr)
-    return expr
+# ---------------------------------------------------------------------------
+# Operators: name -> (argument converters, membership rule)
+#
+# The parser reads each argument text with its converter, which checks it;
+# `...` after a converter takes one or more arguments read alike.  The rule
+# decides `G in op(*args)` as `rule(ev, G, *args)`, with `ev` the evaluator.
+
+_OPS = {
+    "trivial": ((), lambda ev, G: G.order() == 1),
+    "all": ((), lambda ev, G: True),
+    "abelian": ((), lambda ev, G: is_abelian(G)),
+    "cyclic": ((), lambda ev, G: is_cyclic(G, ev.caps)),
+    "nilpotent": ((), lambda ev, G: is_nilpotent(G)),
+    "solvable": ((), lambda ev, G: is_solvable(G)),
+    "simple": ((), lambda ev, G: is_simple(G, ev.caps)),
+    "p": ((_prime,), lambda ev, G, p: is_p_group(G, p)),
+    "pi": ((_prime, ...),
+           lambda ev, G, *primes: all(q in primes for q in _prime_factors(G.order()))),
+    "le": ((_positive,), lambda ev, G, n: G.order() <= n),
+    "altge": ((_positive,), ClassEval._alt_ge),
+    "set": ((_spec, ...), ClassEval._in_finite_set),
+    "union": ((parse_class_expr, parse_class_expr),
+              lambda ev, G, a, b: ev.member(a, G) or ev.member(b, G)),
+    "inter": ((parse_class_expr, parse_class_expr),
+              lambda ev, G, a, b: ev.member(a, G) and ev.member(b, G)),
+    "dual": ((parse_class_expr,), lambda ev, G, a: ev.dual_witness(a, G) is None),
+    "hat": ((parse_class_expr,), lambda ev, G, a: ev.hat_series(a, G) is not None),
+    "dualn": ((parse_class_expr, _count), ClassEval._dual_iter),
+}
 
 
 # ---------------------------------------------------------------------------

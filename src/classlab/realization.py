@@ -221,9 +221,10 @@ def build_realization(G: PermGroup, G0: PermGroup, Gn: PermGroup,
     """Construct Γ = G0^N ⋊ Gn and certify N_Γ(H)/H ≅ G for H = H0 × G0^{N−1}.
 
     The normalizer is assembled structurally from H and the canonical lifts of
-    the embedded copy of G; when |Γ| fits the enumeration cap (and brute_check
-    is on) `brute_normalizer`, exhaustive over Γ by testing one element of
-    each left coset of H, must reproduce it exactly.
+    the embedded copy of G; with brute_check on, `brute_normalizer`,
+    exhaustive over Γ by testing one element of each left coset of H, must
+    reproduce it exactly, and raises CapExceeded when |Γ| exceeds the
+    enumeration cap.
     """
     checks: dict = {}
 
@@ -286,11 +287,6 @@ def build_realization(G: PermGroup, G0: PermGroup, Gn: PermGroup,
     checks["structural_normalizer"] = "passed"
 
     if brute_check:
-        if Gamma.order() > caps.enum_cap:
-            raise CapExceeded(
-                f"|Gamma| = {Gamma.order()} exceeds the enumeration cap "
-                f"{caps.enum_cap}; {raise_hint('enum_cap')}, or disable the "
-                f"brute-force cross-check to proceed structurally")
         brute = brute_normalizer(Gamma, H, caps)
         if brute.order() != M.order() or not all(
                 brute.contains_raw(g) for g in M.raw_gens()):

@@ -116,9 +116,6 @@ class SuiteContext:
     def members(self) -> list[tuple[str, PermGroup]]:
         return [(e.name, e.group) for e in self.catalog.entries]
 
-    def parse(self, text: str):
-        return parse_class_expr(text)
-
     def iso_trios(self) -> list[tuple[str, tuple[PermGroup, PermGroup, PermGroup]]]:
         """Triples of differently realized copies of the same group."""
         if self._iso_trios is None:
@@ -475,7 +472,7 @@ def _chk_classes_iso_closure(ctx: SuiteContext):
     for label, trio in ctx.iso_trios():
         evs = [ClassEval(ctx.caps) for _ in trio]
         for text in _ISO_CLOSURE_EXPRS:
-            expr = ctx.parse(text)
+            expr = parse_class_expr(text)
             verdicts = {ev.member(expr, X) for ev, X in zip(evs, trio)}
             if len(verdicts) != 1:
                 bad.append({"class": text, "trio": label})
@@ -493,9 +490,9 @@ def _chk_classes_dual_union_law(ctx: SuiteContext):
     ]
     bad = []
     for ta, tb in pairs:
-        both = ctx.parse(f"dual(union({ta},{tb}))")
-        da = ctx.parse(f"dual({ta})")
-        db = ctx.parse(f"dual({tb})")
+        both = parse_class_expr(f"dual(union({ta},{tb}))")
+        da = parse_class_expr(f"dual({ta})")
+        db = parse_class_expr(f"dual({tb})")
         for name, G in ctx.members():
             lhs = ctx.ev.member(both, G)
             rhs = ctx.ev.member(da, G) and ctx.ev.member(db, G)
@@ -509,8 +506,8 @@ def _chk_classes_dual_union_law(ctx: SuiteContext):
 def _chk_classes_dual_antitone(ctx: SuiteContext):
     """The chain cyclic ⊆ abelian ⊆ nilpotent ⊆ solvable reverses under dual."""
     chain = ["cyclic", "abelian", "nilpotent", "solvable"]
-    bases = [ctx.parse(t) for t in chain]
-    duals = [ctx.parse(f"dual({t})") for t in chain]
+    bases = [parse_class_expr(t) for t in chain]
+    duals = [parse_class_expr(f"dual({t})") for t in chain]
     bad = []
     for name, G in ctx.members():
         base_vals = [ctx.ev.member(C, G) for C in bases]
@@ -530,7 +527,7 @@ def _chk_classes_dual_transmits_quotients(ctx: SuiteContext):
     bad = []
     for text in ["solvable", "abelian", "cyclic", "simple", "p(2)",
                  "set(C1,C4)", "trivial"]:
-        report = audit_property(ctx.parse(f"dual({text})"), ctx.catalog, "C1", ctx.ev)
+        report = audit_property(parse_class_expr(f"dual({text})"), ctx.catalog, "C1", ctx.ev)
         if not report.holds:
             bad.append({"class": f"dual({text})",
                         "counterexamples": report.counterexamples[:2]})
@@ -543,12 +540,12 @@ def _chk_classes_dual_transmits_extensions(ctx: SuiteContext):
     bad = []
     for text in ["solvable", "abelian", "cyclic", "nilpotent", "p(2)",
                  "all", "trivial"]:
-        premise = audit_property(ctx.parse(text), ctx.catalog, "C1", ctx.ev)
+        premise = audit_property(parse_class_expr(text), ctx.catalog, "C1", ctx.ev)
         if not premise.holds:
             bad.append({"class": text, "problem": "premise audit failed",
                         "counterexamples": premise.counterexamples[:2]})
             continue
-        report = audit_property(ctx.parse(f"dual({text})"), ctx.catalog, "C2", ctx.ev)
+        report = audit_property(parse_class_expr(f"dual({text})"), ctx.catalog, "C2", ctx.ev)
         if not report.holds:
             bad.append({"class": f"dual({text})",
                         "counterexamples": report.counterexamples[:2]})
@@ -560,8 +557,8 @@ def _chk_classes_dual_of_hat(ctx: SuiteContext):
     """A class and its iterated-extension closure have the same dual."""
     bad = []
     for text in ["cyclic", "abelian", "p(2)", "solvable", "set(C1,C4)"]:
-        d_plain = ctx.parse(f"dual({text})")
-        d_hat = ctx.parse(f"dual(hat({text}))")
+        d_plain = parse_class_expr(f"dual({text})")
+        d_hat = parse_class_expr(f"dual(hat({text}))")
         for name, G in ctx.members():
             a = ctx.ev.member(d_plain, G)
             b = ctx.ev.member(d_hat, G)
@@ -578,12 +575,12 @@ def _chk_classes_hat_closure_audits(ctx: SuiteContext):
     bad = []
     for text in ["cyclic", "abelian", "p(2)"]:
         for which in ("C0", "C1"):
-            premise = audit_property(ctx.parse(text), ctx.catalog, which, ctx.ev)
+            premise = audit_property(parse_class_expr(text), ctx.catalog, which, ctx.ev)
             if not premise.holds:
                 bad.append({"class": text, "audit": which,
                             "problem": "premise audit failed"})
         for which in ("C0", "C1", "C2", "C3"):
-            report = audit_property(ctx.parse(f"hat({text})"), ctx.catalog,
+            report = audit_property(parse_class_expr(f"hat({text})"), ctx.catalog,
                                     which, ctx.ev)
             if not report.holds:
                 bad.append({"class": f"hat({text})", "audit": which,
@@ -597,12 +594,12 @@ def _chk_classes_hat_fixpoints(ctx: SuiteContext):
     simple groups contains every group."""
     bad = []
     for p in (2, 3):
-        hat_p = ctx.parse(f"hat(p({p}))")
-        plain_p = ctx.parse(f"p({p})")
+        hat_p = parse_class_expr(f"hat(p({p}))")
+        plain_p = parse_class_expr(f"p({p})")
         for name, G in ctx.members():
             if ctx.ev.member(hat_p, G) != ctx.ev.member(plain_p, G):
                 bad.append({"class": f"p({p})", "group": name})
-    hat_simple = ctx.parse("hat(simple)")
+    hat_simple = parse_class_expr("hat(simple)")
     for name, G in ctx.members():
         if not ctx.ev.member(hat_simple, G):
             bad.append({"class": "hat(simple)", "group": name,
@@ -614,8 +611,8 @@ def _chk_classes_hat_fixpoints(ctx: SuiteContext):
 def _chk_classes_dual_identities(ctx: SuiteContext):
     """dual(all) is exactly the trivial group; dual(trivial) is everything."""
     bad = []
-    d_all = ctx.parse("dual(all)")
-    d_trivial = ctx.parse("dual(trivial)")
+    d_all = parse_class_expr("dual(all)")
+    d_trivial = parse_class_expr("dual(trivial)")
     for name, G in ctx.members():
         if ctx.ev.member(d_all, G) != (G.order() == 1):
             bad.append({"group": name, "class": "dual(all)"})
@@ -629,10 +626,10 @@ def _chk_dual_union_vs_meet_c6(ctx: SuiteContext):
     """C6 separates dual-of-union from the duals of the parts: it lies in the
     dual of {1} = {1,C2} ∩ {1,C3} but in neither individual dual."""
     c6 = cyclic(6)
-    in_first = ctx.ev.member(ctx.parse("dual(set(C1,C2))"), c6)
-    in_second = ctx.ev.member(ctx.parse("dual(set(C1,C3))"), c6)
-    in_meet = ctx.ev.member(ctx.parse("dual(inter(set(C1,C2),set(C1,C3)))"), c6)
-    in_unit = ctx.ev.member(ctx.parse("dual(set(C1))"), c6)
+    in_first = ctx.ev.member(parse_class_expr("dual(set(C1,C2))"), c6)
+    in_second = ctx.ev.member(parse_class_expr("dual(set(C1,C3))"), c6)
+    in_meet = ctx.ev.member(parse_class_expr("dual(inter(set(C1,C2),set(C1,C3)))"), c6)
+    in_unit = ctx.ev.member(parse_class_expr("dual(set(C1))"), c6)
     if (not in_first) and (not in_second) and in_meet and in_unit:
         return None
     return {"in_dual_12": in_first, "in_dual_13": in_second,
@@ -643,7 +640,7 @@ def _chk_dual_union_vs_meet_c6(ctx: SuiteContext):
 def _chk_c4_finite_set_chain(ctx: SuiteContext):
     """For C = {1, C4}: the C4 chain reads (in, out, out, in); level two keeps
     only the trivial group and level three keeps everything."""
-    C = ctx.parse("set(C1,C4)")
+    C = parse_class_expr("set(C1,C4)")
     chain = [ctx.ev.dual_chain_member(C, cyclic(4), k) for k in range(4)]
     bad = []
     if chain != [True, False, False, True]:
@@ -659,7 +656,7 @@ def _chk_c4_finite_set_chain(ctx: SuiteContext):
 @_register("hat-cyclic-equals-solvable")
 def _chk_hat_cyclic_equals_solvable(ctx: SuiteContext):
     """Groups built from cyclic layers are exactly the solvable ones."""
-    hat_cyc = ctx.parse("hat(cyclic)")
+    hat_cyc = parse_class_expr("hat(cyclic)")
     bad = []
     for name, G in ctx.members():
         got = ctx.ev.member(hat_cyc, G)
@@ -673,7 +670,7 @@ def _chk_hat_cyclic_equals_solvable(ctx: SuiteContext):
 def _chk_dual_class_equalities(ctx: SuiteContext):
     """The duals of cyclic, abelian, nilpotent and solvable coincide, and equal
     the meet of the p-group duals over the primes dividing each order."""
-    duals = [ctx.parse(f"dual({t})")
+    duals = [parse_class_expr(f"dual({t})")
              for t in ("cyclic", "abelian", "nilpotent", "solvable")]
     bad = []
     for name, G in ctx.members():
@@ -682,7 +679,7 @@ def _chk_dual_class_equalities(ctx: SuiteContext):
             bad.append({"group": name, "verdicts": vals})
             continue
         primes = _prime_factors(G.order())
-        p_meet = all(ctx.ev.member(ctx.parse(f"dual(p({p}))"), G) for p in primes)
+        p_meet = all(ctx.ev.member(parse_class_expr(f"dual(p({p}))"), G) for p in primes)
         if p_meet != vals[0]:
             bad.append({"group": name, "primes": primes,
                         "p_meet": p_meet, "dual_solvable": vals[0]})
@@ -695,7 +692,7 @@ def _chk_bidual_three_routes(ctx: SuiteContext):
     the same bidual verdict."""
     bad = []
     for text in ["abelian", "solvable", "simple", "set(C4)", "set(C1,C4)"]:
-        C = ctx.parse(text)
+        C = parse_class_expr(text)
         for name, G in ctx.members():
             via_chain = ctx.ev.dual_chain_member(C, G, 2)
             via_max = ctx.ev.bidual_member_maxnormal(C, G)
@@ -718,7 +715,7 @@ def _chk_dual_chain_cyclicity(ctx: SuiteContext):
     expect_c1 = {"solvable": True, "abelian": True, "set(C1,C4)": False}
     bad = []
     for text, want_c1 in expect_c1.items():
-        C = ctx.parse(text)
+        C = parse_class_expr(text)
         has_c1 = audit_property(C, ctx.catalog, "C1", ctx.ev).holds
         if has_c1 != want_c1:
             bad.append({"class": text, "problem": "unexpected quotient-closure audit",
@@ -758,7 +755,7 @@ def _chk_taxonomy_table(ctx: SuiteContext):
     }
     bad = []
     for text, want in expected.items():
-        result = classify(ctx.parse(text), ctx.catalog, ctx.ev)
+        result = classify(parse_class_expr(text), ctx.catalog, ctx.ev)
         if result["flags"] != want:
             bad.append({"class": text, "flags": result["flags"], "expected": want})
         for which, report in sorted(result["reports"].items()):
@@ -772,7 +769,7 @@ def _chk_taxonomy_table(ctx: SuiteContext):
 def _chk_fnr_witnesses(ctx: SuiteContext):
     """Membership of the no-prime-quotient class on marquee groups, with the
     non-hereditary witness: SL(2,5) is in, its central C2 is not."""
-    fnr = ctx.parse("fnr")
+    fnr = parse_class_expr("fnr")
     bad = []
     members = [("A5", alternating(5)), ("SL25", special_linear(5))]
     non_members = [("S5", symmetric(5)), ("A4", alternating(4)),
@@ -797,8 +794,8 @@ def _chk_fnr_witnesses(ctx: SuiteContext):
 def _chk_classes_fnr_characterizations(ctx: SuiteContext):
     """The no-prime-quotient class matches the derived-subgroup test, and its
     own dual matches 'every simple quotient has prime order'."""
-    fnr = ctx.parse("fnr")
-    fnr2 = ctx.parse("dualn(solvable,2)")
+    fnr = parse_class_expr("fnr")
+    fnr2 = parse_class_expr("dualn(solvable,2)")
     bad = []
     for name, G in ctx.members():
         if G.order() > 1:

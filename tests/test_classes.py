@@ -1,34 +1,19 @@
 """Tests for the class calculus: grammar, membership, duals, audits."""
 import gc
+import random
 import re
 import weakref
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from classlab import classes
+from classlab import classes, suite
 from classlab.classes import (
-    Abelian,
-    All,
-    AltGE,
     AuditReport,
     ClassEval,
-    Cyclic,
-    Dual,
-    DualIter,
-    FiniteSet,
-    Hat,
-    Intersect,
-    Nilpotent,
-    OrderAtMost,
-    PGroup,
-    Pi,
-    Simple,
-    Solvable,
-    Trivial,
-    Union,
+    ClassExpr,
     audit_property,
     classify,
     parse_class_expr,
@@ -67,23 +52,25 @@ def ev():
 
 
 GRAMMAR_ROUND_TRIPS = [
-    ("trivial", Trivial()),
-    ("all", All()),
-    ("abelian", Abelian()),
-    ("cyclic", Cyclic()),
-    ("nilpotent", Nilpotent()),
-    ("solvable", Solvable()),
-    ("simple", Simple()),
-    ("p(2)", PGroup(2)),
-    ("pi(2,3)", Pi((2, 3))),
-    ("le(24)", OrderAtMost(24)),
-    ("altge(5)", AltGE(5)),
-    ("set(C4,Q8)", FiniteSet(("C4", "Q8"))),
-    ("union(abelian,simple)", Union(Abelian(), Simple())),
-    ("inter(cyclic,p(2))", Intersect(Cyclic(), PGroup(2))),
-    ("dual(solvable)", Dual(Solvable())),
-    ("hat(cyclic)", Hat(Cyclic())),
-    ("dualn(solvable,3)", DualIter(Solvable(), 3)),
+    ("trivial", ClassExpr("trivial")),
+    ("all", ClassExpr("all")),
+    ("abelian", ClassExpr("abelian")),
+    ("cyclic", ClassExpr("cyclic")),
+    ("nilpotent", ClassExpr("nilpotent")),
+    ("solvable", ClassExpr("solvable")),
+    ("simple", ClassExpr("simple")),
+    ("p(2)", ClassExpr("p", 2)),
+    ("pi(2,3)", ClassExpr("pi", 2, 3)),
+    ("le(24)", ClassExpr("le", 24)),
+    ("altge(5)", ClassExpr("altge", 5)),
+    ("set(C4,Q8)", ClassExpr("set", "C4", "Q8")),
+    ("union(abelian,simple)", ClassExpr("union", ClassExpr("abelian"), ClassExpr("simple"))),
+    ("inter(cyclic,p(2))", ClassExpr("inter", ClassExpr("cyclic"), ClassExpr("p", 2))),
+    ("dual(solvable)", ClassExpr("dual", ClassExpr("solvable"))),
+    ("hat(cyclic)", ClassExpr("hat", ClassExpr("cyclic"))),
+    ("dualn(solvable,3)", ClassExpr("dualn", ClassExpr("solvable"), 3)),
+    ("le(1)", ClassExpr("le", 1)),
+    ("altge(1)", ClassExpr("altge", 1)),
 ]
 
 
@@ -91,23 +78,26 @@ GRAMMAR_ROUND_TRIPS = [
 def test_parse_and_render(text, expected):
     expr = parse_class_expr(text)
     assert expr == expected
+    assert (expr.op, expr.args) == (expected.op, expected.args)
     assert expr.text() == text
     assert parse_class_expr(expr.text()) == expr
 
 
 def test_parse_fnr_is_dual_solvable():
-    assert parse_class_expr("fnr") == Dual(Solvable())
+    assert parse_class_expr("fnr") == parse_class_expr("dual(solvable)")
 
 
 def test_parse_tolerates_whitespace_and_case():
     expr = parse_class_expr("  DUAL( Union( set( c4 , q8 ) , P(2) ) ) ")
-    assert expr == Dual(Union(FiniteSet(("C4", "Q8")), PGroup(2)))
+    assert expr == parse_class_expr("dual(union(set(C4,Q8),p(2)))")
 
 
 def test_parse_nested():
     expr = parse_class_expr("dualn(inter(union(abelian,simple),le(60)),2)")
-    assert expr == DualIter(Intersect(Union(Abelian(), Simple()),
-                                      OrderAtMost(60)), 2)
+    inner = ClassExpr("inter", ClassExpr("union", ClassExpr("abelian"), ClassExpr("simple")),
+                      ClassExpr("le", 60))
+    assert expr == ClassExpr("dualn", inner, 2)
+    assert expr.args[0].args[0].args == (ClassExpr("abelian"), ClassExpr("simple"))
 
 
 def _readme_grammar_terms() -> list[str]:
@@ -135,6 +125,23 @@ def test_readme_grammar_block_parses():
         assert parse_class_expr(expr.text()) == expr
 
 
+def _operators(expr):
+    """The operators a class expression uses, at any depth."""
+    return {expr.op}.union(*(_operators(a) for a in expr.args if isinstance(a, ClassExpr)))
+
+
+def test_readme_grammar_and_iso_closure_check_cover_every_operator():
+    named = {re.match(r"\w+", term).group() for term in _readme_grammar_terms()}
+    assert named == set(classes._OPS) | {"fnr"}
+    used = set().union(*(_operators(parse_class_expr(t)) for t in suite._ISO_CLOSURE_EXPRS))
+    assert used == set(classes._OPS)
+
+
+def test_unknown_operator_is_rejected_when_a_node_is_built():
+    with pytest.raises(InvalidInput, match="unknown class operator 'fnr'"):
+        ClassExpr("fnr")
+
+
 @pytest.mark.parametrize("bad", [
     "",
     "unknownclass",
@@ -158,30 +165,60 @@ def test_readme_grammar_block_parses():
     "dual(abelian",
     "all all",
     "dual(all))",
+    "p(6)",
+    "pi(2,9)",
+    "altge(-3)",
+    "fnr(2)",
 ])
 def test_parse_rejects(bad):
     with pytest.raises(ParseError):
         parse_class_expr(bad)
 
 
-def test_pgroup_requires_prime():
-    with pytest.raises(InvalidInput):
-        PGroup(6)
-    with pytest.raises(InvalidInput):
-        Pi((2, 9))
-
-
-def test_le_and_altge_require_positive_n():
-    assert parse_class_expr("le(1)") == OrderAtMost(1)
-    assert parse_class_expr("altge(1)") == AltGE(1)
-    with pytest.raises(InvalidInput):
-        OrderAtMost(0)
-    with pytest.raises(InvalidInput):
-        AltGE(-3)
-
-
 def test_pi_key_sorts_and_dedups():
     assert parse_class_expr("pi(3,2,3)").text() == "pi(2,3)"
+
+
+_PRIMES = st.sampled_from([2, 3, 5, 7])
+_LEAVES = st.one_of(
+    st.sampled_from(["trivial", "all", "abelian", "cyclic", "nilpotent", "solvable",
+                     "simple", "fnr", "Abelian"]),
+    _PRIMES.map("p({})".format),
+    st.lists(_PRIMES, min_size=1, max_size=5).map(
+        lambda ps: "pi({})".format(",".join(map(str, ps)))),
+    st.integers(1, 200).map("le({})".format),
+    st.integers(1, 8).map("altge({})".format),
+    st.lists(st.sampled_from(["C1", "C4", "q8", "S3", "perm3[(1 2 3)]"]),
+             min_size=1, max_size=3).map(lambda specs: "set({})".format(",".join(specs))),
+)
+CLASS_TEXTS = st.recursive(_LEAVES, lambda sub: st.one_of(
+    st.tuples(st.sampled_from(["union", "inter"]), sub, sub).map("{0[0]}({0[1]},{0[2]})".format),
+    st.tuples(st.sampled_from(["dual", "hat"]), sub).map("{0[0]}({0[1]})".format),
+    st.tuples(sub, st.integers(0, 4)).map("dualn({0[0]},{0[1]})".format),
+), max_leaves=6)
+
+
+def _reshuffle_pi(text, rnd):
+    """The same expression with each `pi`'s primes shuffled and one repeated."""
+    def shuffled(m):
+        primes = m.group(1).split(",")
+        rnd.shuffle(primes)
+        return "pi({})".format(",".join(primes + [rnd.choice(primes)]))
+    return re.sub(r"pi\(([\d,]+)\)", shuffled, text)
+
+
+@given(CLASS_TEXTS, CLASS_TEXTS, st.randoms(use_true_random=False))
+@example("union(pi(3,2),abelian)", "union(pi(2,3),abelian)", random.Random(0))
+@settings(max_examples=200, deadline=None)
+def test_expressions_are_equal_exactly_when_their_texts_are(t1, t2, rnd):
+    e1, e2 = parse_class_expr(t1), parse_class_expr(t2)
+    same = parse_class_expr(_reshuffle_pi(t1, rnd))
+    for e in (e1, e2, same):
+        assert parse_class_expr(e.text()) == e
+    assert same.text() == e1.text()
+    assert same == e1 and hash(same) == hash(e1)
+    assert (e1 == e2) == (e1.text() == e2.text())
+    assert (e1 != e2) == (e1.text() != e2.text())
 
 
 # ---------------------------------------------------------------------------
@@ -191,39 +228,43 @@ def test_pi_key_sorts_and_dedups():
 def test_atomic_membership(ev):
     S3, A5, D8, C6 = symmetric(3), alternating(5), dihedral(8), cyclic(6)
     Q8, triv = quaternion(), cyclic(1)
-    assert ev.member(Trivial(), triv)
-    assert not ev.member(Trivial(), S3)
-    assert ev.member(All(), S3)
-    assert ev.member(Abelian(), C6) and not ev.member(Abelian(), S3)
-    assert ev.member(Cyclic(), C6) and not ev.member(Cyclic(), klein_four())
-    assert ev.member(Nilpotent(), D8) and not ev.member(Nilpotent(), S3)
-    assert ev.member(Solvable(), S3) and not ev.member(Solvable(), A5)
-    assert ev.member(Simple(), A5) and not ev.member(Simple(), triv)
-    assert ev.member(PGroup(2), Q8) and not ev.member(PGroup(2), C6)
-    assert ev.member(PGroup(2), triv)
-    assert ev.member(Pi((2, 3)), symmetric(4))
-    assert not ev.member(Pi((2, 3)), dihedral(10))
-    assert not ev.member(Pi((2, 3)), A5)
-    assert ev.member(OrderAtMost(24), symmetric(4))
-    assert not ev.member(OrderAtMost(24), A5)
+
+    def member(text, G):
+        return ev.member(parse_class_expr(text), G)
+
+    assert member("trivial", triv)
+    assert not member("trivial", S3)
+    assert member("all", S3)
+    assert member("abelian", C6) and not member("abelian", S3)
+    assert member("cyclic", C6) and not member("cyclic", klein_four())
+    assert member("nilpotent", D8) and not member("nilpotent", S3)
+    assert member("solvable", S3) and not member("solvable", A5)
+    assert member("simple", A5) and not member("simple", triv)
+    assert member("p(2)", Q8) and not member("p(2)", C6)
+    assert member("p(2)", triv)
+    assert member("pi(2,3)", symmetric(4))
+    assert not member("pi(2,3)", dihedral(10))
+    assert not member("pi(2,3)", A5)
+    assert member("le(24)", symmetric(4))
+    assert not member("le(24)", A5)
 
 
 def test_altge_membership(ev):
-    C = AltGE(5)
+    C = parse_class_expr("altge(5)")
     assert ev.member(C, cyclic(1))
     assert ev.member(C, alternating(5))
     assert ev.member(C, alternating(6))
     assert not ev.member(C, symmetric(5))
     assert not ev.member(C, alternating(4))
     assert not ev.member(C, cyclic(3))
-    low = AltGE(3)
+    low = parse_class_expr("altge(3)")
     assert ev.member(low, cyclic(3))
     assert ev.member(low, alternating(4))
     assert not ev.member(low, klein_four())
 
 
 def test_finite_set_membership_is_iso_closed(ev):
-    C = FiniteSet(("C4", "Q8"))
+    C = parse_class_expr("set(C4,Q8)")
     assert ev.member(C, cyclic(4))
     assert ev.member(C, quaternion())
     assert not ev.member(C, klein_four())
@@ -237,11 +278,11 @@ def test_finite_set_membership_is_iso_closed(ev):
 
 
 def test_union_and_intersection(ev):
-    C = Union(Cyclic(), Simple())
+    C = parse_class_expr("union(cyclic,simple)")
     assert ev.member(C, cyclic(6))
     assert ev.member(C, alternating(5))
     assert not ev.member(C, klein_four())
-    D = Intersect(Abelian(), PGroup(2))
+    D = parse_class_expr("inter(abelian,p(2))")
     assert ev.member(D, klein_four())
     assert not ev.member(D, cyclic(6))
     assert not ev.member(D, quaternion())
@@ -252,14 +293,14 @@ def test_union_and_intersection(ev):
 
 
 def test_dual_of_all_is_trivial_class(ev):
-    C = Dual(All())
+    C = parse_class_expr("dual(all)")
     assert ev.member(C, cyclic(1))
     for G in (cyclic(2), symmetric(3), alternating(5)):
         assert not ev.member(C, G)
 
 
 def test_dual_of_trivial_class_is_all(ev):
-    C = Dual(Trivial())
+    C = parse_class_expr("dual(trivial)")
     for G in (cyclic(1), cyclic(2), symmetric(4), alternating(5)):
         assert ev.member(C, G)
 
@@ -276,12 +317,12 @@ def test_fnr_membership(ev):
 
 def test_dual_witness_is_least(ev):
     S5 = symmetric(5)
-    witness = ev.dual_witness(Solvable(), S5)
+    witness = ev.dual_witness(parse_class_expr("solvable"), S5)
     assert witness is not None and witness.order() == 60
     # any solvable nontrivial group fails through its trivial subgroup
-    witness = ev.dual_witness(Solvable(), cyclic(6))
+    witness = ev.dual_witness(parse_class_expr("solvable"), cyclic(6))
     assert witness is not None and witness.order() == 1
-    assert ev.dual_witness(Solvable(), alternating(5)) is None
+    assert ev.dual_witness(parse_class_expr("solvable"), alternating(5)) is None
 
 
 def test_member_trace_dual(ev):
@@ -298,10 +339,10 @@ def test_member_trace_dual(ev):
 
 
 def test_hat_cyclic_series_for_s4(ev):
-    value, trace = ev.member_trace(Hat(Cyclic()), symmetric(4))
+    value, trace = ev.member_trace(parse_class_expr("hat(cyclic)"), symmetric(4))
     assert value is True
     assert trace["series_orders"] == [1, 2, 4, 12, 24]
-    series = ev.hat_series(Cyclic(), symmetric(4))
+    series = ev.hat_series(parse_class_expr("cyclic"), symmetric(4))
     orders = [S.order() for S in series]
     assert orders == [1, 2, 4, 12, 24]
     # consecutive containment
@@ -310,27 +351,27 @@ def test_hat_cyclic_series_for_s4(ev):
 
 
 def test_hat_cyclic_rejects_a5(ev):
-    assert not ev.member(Hat(Cyclic()), alternating(5))
-    assert ev.hat_series(Cyclic(), alternating(5)) is None
+    assert not ev.member(parse_class_expr("hat(cyclic)"), alternating(5))
+    assert ev.hat_series(parse_class_expr("cyclic"), alternating(5)) is None
 
 
 def test_hat_abelian_agrees_with_solvable(ev):
-    C = Hat(Abelian())
+    C = parse_class_expr("hat(abelian)")
     for G in (symmetric(4), alternating(4), dihedral(8), quaternion(),
               cyclic(6), alternating(5), symmetric(5), cyclic(1)):
         assert ev.member(C, G) == is_solvable(G)
 
 
 def test_hat_p_group_agrees_with_p_group(ev):
-    C = Hat(PGroup(2))
+    C = parse_class_expr("hat(p(2))")
     for G in (dihedral(8), quaternion(), cyclic(8), cyclic(6), symmetric(4),
               cyclic(1), klein_four()):
         assert ev.member(C, G) == is_p_group(G, 2)
 
 
 def test_hat_trivial_group_always_in(ev):
-    assert ev.member(Hat(Simple()), cyclic(1))
-    series = ev.hat_series(Simple(), cyclic(1))
+    assert ev.member(parse_class_expr("hat(simple)"), cyclic(1))
+    series = ev.hat_series(parse_class_expr("simple"), cyclic(1))
     assert [S.order() for S in series] == [1]
 
 
@@ -340,36 +381,37 @@ def test_hat_trivial_group_always_in(ev):
 
 def test_dual_iter_chain_on_c4(ev):
     C4 = cyclic(4)
-    chain = [ev.member(DualIter(FiniteSet(("C1", "C4")), k), C4)
+    chain = [ev.member(parse_class_expr(f"dualn(set(C1,C4),{k})"), C4)
              for k in range(4)]
     assert chain == [True, False, False, True]
 
 
 def test_dual_iter_chain_on_c2(ev):
     C2 = cyclic(2)
-    chain = [ev.member(DualIter(FiniteSet(("C1", "C4")), k), C2)
+    chain = [ev.member(parse_class_expr(f"dualn(set(C1,C4),{k})"), C2)
              for k in range(4)]
     assert chain == [False, True, False, True]
 
 
 def test_dual_iter_zero_is_base(ev):
-    assert ev.member(DualIter(Solvable(), 0), symmetric(4))
-    assert not ev.member(DualIter(Solvable(), 0), alternating(5))
+    assert ev.member(parse_class_expr("dualn(solvable,0)"), symmetric(4))
+    assert not ev.member(parse_class_expr("dualn(solvable,0)"), alternating(5))
 
 
 def test_dual_chain_depth_cap(ev):
     with pytest.raises(CapExceeded, match=r"^dual-iteration depth 6 exceeds configured "
                                           r"depth 5$"):
-        ev.dual_chain_member(Solvable(), cyclic(2), 6)
+        ev.dual_chain_member(parse_class_expr("solvable"), cyclic(2), 6)
     deep = ClassEval(Caps(dual_depth=8))
-    assert deep.dual_chain_member(Trivial(), cyclic(2), 6) in (True, False)
+    assert deep.dual_chain_member(parse_class_expr("trivial"), cyclic(2), 6) in (True, False)
 
 
 def test_double_dual_equals_quadruple_dual(ev):
-    C = FiniteSet(("C1", "C4"))
+    C = parse_class_expr("set(C1,C4)")
     for G in (cyclic(1), cyclic(2), cyclic(4), klein_four(), symmetric(3),
               symmetric(4), alternating(5)):
-        assert ev.member(DualIter(C, 2), G) == ev.member(DualIter(C, 4), G)
+        assert (ev.member(parse_class_expr(f"dualn({C},2)"), G)
+                == ev.member(parse_class_expr(f"dualn({C},4)"), G))
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +429,7 @@ def test_bidual_routes_agree(ev, text):
               symmetric(3), symmetric(4), alternating(4), dihedral(8),
               quaternion(), alternating(5), symmetric(5), special_linear(5)]
     for G in groups:
-        direct = ev.member(DualIter(C, 2), G)
+        direct = ev.member(parse_class_expr(f"dualn({text},2)"), G)
         assert ev.bidual_member_maxnormal(C, G) == direct, (text, G.name)
         if G.order() > 1:
             assert ev.bidual_member_radical(C, G) == direct, (text, G.name)
@@ -395,11 +437,11 @@ def test_bidual_routes_agree(ev, text):
 
 def test_bidual_radical_rejects_trivial(ev):
     with pytest.raises(InvalidInput):
-        ev.bidual_member_radical(Solvable(), cyclic(1))
+        ev.bidual_member_radical(parse_class_expr("solvable"), cyclic(1))
 
 
 def test_bidual_maxnormal_trivial_group(ev):
-    assert ev.bidual_member_maxnormal(Solvable(), cyclic(1))
+    assert ev.bidual_member_maxnormal(parse_class_expr("solvable"), cyclic(1))
 
 
 # ---------------------------------------------------------------------------
@@ -421,18 +463,20 @@ def test_dual_union_vs_dual_of_intersection(ev):
 
 
 def test_audit_abelian(d4_catalog, ev):
-    assert audit_property(Abelian(), d4_catalog, "C0", ev).holds
-    assert audit_property(Abelian(), d4_catalog, "C1", ev).holds
-    r2 = audit_property(Abelian(), d4_catalog, "C2", ev)
+    C = parse_class_expr("abelian")
+    assert audit_property(C, d4_catalog, "C0", ev).holds
+    assert audit_property(C, d4_catalog, "C1", ev).holds
+    r2 = audit_property(C, d4_catalog, "C2", ev)
     assert not r2.holds
     assert r2.counterexamples[0]["group"] == "S3"
-    assert audit_property(Abelian(), d4_catalog, "C3", ev).holds
+    assert audit_property(C, d4_catalog, "C3", ev).holds
 
 
 def test_audit_cyclic(d4_catalog, ev):
-    assert audit_property(Cyclic(), d4_catalog, "C0", ev).holds
-    assert audit_property(Cyclic(), d4_catalog, "C1", ev).holds
-    r3 = audit_property(Cyclic(), d4_catalog, "C3", ev)
+    C = parse_class_expr("cyclic")
+    assert audit_property(C, d4_catalog, "C0", ev).holds
+    assert audit_property(C, d4_catalog, "C1", ev).holds
+    r3 = audit_property(C, d4_catalog, "C3", ev)
     assert not r3.holds
     first = r3.counterexamples[0]
     assert first["group"] == "V4"
@@ -442,33 +486,34 @@ def test_audit_cyclic(d4_catalog, ev):
 
 def test_audit_solvable_all_hold(d4_catalog, ev):
     for which in ("C0", "C1", "C2", "C3"):
-        report = audit_property(Solvable(), d4_catalog, which, ev)
+        report = audit_property(parse_class_expr("solvable"), d4_catalog, which, ev)
         assert report.holds, which
         assert not report.skipped
 
 
 def test_audit_nilpotent(d4_catalog, ev):
-    assert audit_property(Nilpotent(), d4_catalog, "C0", ev).holds
-    assert audit_property(Nilpotent(), d4_catalog, "C1", ev).holds
-    r2 = audit_property(Nilpotent(), d4_catalog, "C2", ev)
+    C = parse_class_expr("nilpotent")
+    assert audit_property(C, d4_catalog, "C0", ev).holds
+    assert audit_property(C, d4_catalog, "C1", ev).holds
+    r2 = audit_property(C, d4_catalog, "C2", ev)
     assert not r2.holds and r2.counterexamples[0]["group"] == "S3"
-    assert audit_property(Nilpotent(), d4_catalog, "C3", ev).holds
+    assert audit_property(C, d4_catalog, "C3", ev).holds
 
 
 def test_audit_simple_quotient_closure_fails(d4_catalog, ev):
-    report = audit_property(Simple(), d4_catalog, "C1", ev)
+    report = audit_property(parse_class_expr("simple"), d4_catalog, "C1", ev)
     assert not report.holds
     assert report.counterexamples[0]["quotient_order"] == 1
 
 
 def test_audit_rejects_unknown_property(d4_catalog, ev):
     with pytest.raises(InvalidInput):
-        audit_property(Abelian(), d4_catalog, "C9", ev)
+        audit_property(parse_class_expr("abelian"), d4_catalog, "C9", ev)
 
 
 def test_audit_skips_on_subgroup_cap(d4_catalog):
     small = ClassEval(Caps(subgroup_limit=5))
-    report = audit_property(All(), d4_catalog, "C0", small)
+    report = audit_property(parse_class_expr("all"), d4_catalog, "C0", small)
     assert report.holds
     skipped_names = {entry["group"] for entry in report.skipped}
     assert "S4" in skipped_names
@@ -489,24 +534,24 @@ def test_c0_canonicalizes_one_subgroup_per_conjugacy_class(monkeypatch):
 
     monkeypatch.setattr(ClassEval, "canon_id", counted)
     catalog = _one_group_catalog("S5")
-    assert audit_property(All(), catalog, "C0", ClassEval()).holds
+    assert audit_property(parse_class_expr("all"), catalog, "C0", ClassEval()).holds
     # S5 itself, then the first member of each of its 19 subgroup classes.
     assert len(calls) == 20
 
 
 def test_c0_lists_every_failing_subgroup_in_list_order():
     catalog = _one_group_catalog("A5")
-    report = audit_property(Simple(), catalog, "C0", ClassEval())
+    report = audit_property(parse_class_expr("simple"), catalog, "C0", ClassEval())
     reference = ClassEval()
     expected = [{"group": "A5", "subgroup_order": S.order(), "subgroup_gens": S.gen_strings()}
                 for S in subgroups(catalog.entries[0].group)
-                if not reference.member(Simple(), S)]
+                if not reference.member(parse_class_expr("simple"), S)]
     assert len(expected) > 9
     assert report.counterexamples == expected
 
 
 def test_audit_report_json_shape(d4_catalog, ev):
-    report = audit_property(Abelian(), d4_catalog, "C2", ev)
+    report = audit_property(parse_class_expr("abelian"), d4_catalog, "C2", ev)
     data = report.to_json_dict()
     assert data["property"] == "C2"
     assert data["class"] == "abelian"
@@ -520,7 +565,7 @@ def test_audit_report_json_shape(d4_catalog, ev):
 
 
 def test_classify_solvable(d4_catalog, ev):
-    flags = classify(Solvable(), d4_catalog, ev)["flags"]
+    flags = classify(parse_class_expr("solvable"), d4_catalog, ev)["flags"]
     assert flags == {
         "pre_formation": True,
         "formation": True,
@@ -531,7 +576,7 @@ def test_classify_solvable(d4_catalog, ev):
 
 
 def test_classify_abelian(d4_catalog, ev):
-    flags = classify(Abelian(), d4_catalog, ev)["flags"]
+    flags = classify(parse_class_expr("abelian"), d4_catalog, ev)["flags"]
     assert flags["pre_formation"] and flags["formation"]
     assert flags["pre_variety"]
     assert not flags["extensive_formation"]
@@ -539,14 +584,14 @@ def test_classify_abelian(d4_catalog, ev):
 
 
 def test_classify_cyclic(d4_catalog, ev):
-    flags = classify(Cyclic(), d4_catalog, ev)["flags"]
+    flags = classify(parse_class_expr("cyclic"), d4_catalog, ev)["flags"]
     assert flags["pre_formation"] and flags["pre_variety"]
     assert not flags["formation"]
     assert not flags["extensive_variety"]
 
 
 def test_classify_trivial_class(d4_catalog, ev):
-    flags = classify(Trivial(), d4_catalog, ev)["flags"]
+    flags = classify(parse_class_expr("trivial"), d4_catalog, ev)["flags"]
     assert all(flags.values())
 
 
@@ -572,8 +617,8 @@ def test_memo_shared_across_realizations(ev):
 def test_evaluator_does_not_keep_groups_alive(ev):
     # The first S4 becomes the registry's representative of its type; a second
     # parse joins that type, then is dropped by the caller.
-    ev.member(Solvable(), parse_group_spec("S4"))
-    dual_abelian = Dual(Abelian())
+    ev.member(parse_class_expr("solvable"), parse_group_spec("S4"))
+    dual_abelian = parse_class_expr("dual(abelian)")
     G = parse_group_spec("S4")
     answer = ev.member(dual_abelian, G)
     gid = ev.canon_id(G)
@@ -648,9 +693,9 @@ def test_shared_evaluator_agrees_with_one_evaluator_per_copy(copies):
 def test_degree_dependent_verdict_separates_fresh_and_shared_evaluators(monkeypatch):
     monkeypatch.setattr(classes, "is_nilpotent", lambda G: G.degree <= 5)
     copies = [symmetric(3), regular_representation(symmetric(3)).image()]
-    assert [ClassEval().member(Nilpotent(), X) for X in copies] == [True, False]
+    assert [ClassEval().member(parse_class_expr("nilpotent"), X) for X in copies] == [True, False]
     shared = ClassEval()
-    assert [shared.member(Nilpotent(), X) for X in copies] == [True, True]
+    assert [shared.member(parse_class_expr("nilpotent"), X) for X in copies] == [True, True]
 
 
 @pytest.fixture()
@@ -672,7 +717,7 @@ def work(monkeypatch):
 def test_equal_subgroups_join_their_type_without_a_search(work):
     ev = ClassEval()
     first = parse_group_spec("S5")
-    fnr = Dual(Solvable())
+    fnr = parse_class_expr("dual(solvable)")
     assert not ev.member(fnr, first)
     assert len(work["fingerprint"]) > 0
     for log in work.values():
@@ -690,7 +735,7 @@ def test_equal_subgroups_join_their_type_without_a_search(work):
 def test_conjugated_copy_is_searched_once_and_evaluated_on_the_representative(work):
     ev = ClassEval()
     rep = dihedral(8)
-    dual_abelian, hat_cyclic = Dual(Abelian()), Hat(Cyclic())
+    dual_abelian, hat_cyclic = parse_class_expr("dual(abelian)"), parse_class_expr("hat(cyclic)")
     assert not ev.member(dual_abelian, rep)
     for log in work.values():
         log.clear()
@@ -701,7 +746,7 @@ def test_conjugated_copy_is_searched_once_and_evaluated_on_the_representative(wo
     assert len(work["isomorphic"]) == 1 and len(work["fingerprint"]) == 1
     # new expressions search only among the representative's quotients
     assert ev.member(hat_cyclic, copy)
-    assert not ev.member(Dual(Cyclic()), copy)
+    assert not ev.member(parse_class_expr("dual(cyclic)"), copy)
     assert [args for args in work["isomorphic"] if copy in args] == [work["isomorphic"][0]]
     assert all(args[0] is not copy for args in work["normal_subgroups"])
     assert "normal_lattice" not in copy._cache

@@ -164,6 +164,15 @@ def test_brute_normalizer_cap_message():
     assert brute_normalizer(S4, C4, Caps(enum_cap=24)).order() == 8
 
 
+def test_realize_brute_check_meets_the_enum_cap_in_brute_normalizer():
+    tight = Caps(enum_cap=1000)
+    with pytest.raises(CapExceeded, match=r"^order 14400 exceeds enumeration cap 1000; "
+                                          r"raise it with --enum-cap or CLASSLAB_ENUM_CAP$"):
+        realize(cyclic(2), top=cyclic(4), caps=tight)
+    cert = realize(cyclic(2), top=cyclic(4), caps=tight, brute_check=False)
+    assert cert.checks["brute_normalizer"] == "skipped"
+
+
 def test_brute_check_never_enumerates_gamma(monkeypatch):
     cert = realize(cyclic(2), top=cyclic(4))
     assert cert.checks["brute_normalizer"] == "passed"
