@@ -90,7 +90,9 @@ class ClassExpr:
 def parse_class_expr(text: str) -> ClassExpr:
     """Parse the class grammar, e.g. ``dual(union(set(C4,Q8),p(2)))``.
 
-    Names are case-insensitive; `fnr` is read as `dual(solvable)`.
+    Names are case-insensitive; `fnr` is read as `dual(solvable)`.  Text
+    nested more than MAX_NESTING parentheses deep is refused, so parsing and
+    evaluation stay far inside the interpreter's recursion limit.
     """
     m = re.match(r"\s*(\w*)\s*", text)
     name, pos = m.group(1).lower(), m.end()
@@ -115,6 +117,11 @@ def parse_class_expr(text: str) -> ClassExpr:
     return ClassExpr(name, *(conv(a.strip()) for conv, a in zip(convs, args)))
 
 
+# The deepest parenthesis nesting a class expression may have; a fixed bound
+# with no flag.  Both `dual` and `hat` nested this deep evaluate on S5.
+MAX_NESTING = 100
+
+
 def _split_args(text: str, pos: int) -> tuple[list[str], int]:
     """The top-level arguments of the parenthesis at `pos`, and the position
     after its closing parenthesis."""
@@ -125,6 +132,9 @@ def _split_args(text: str, pos: int) -> tuple[list[str], int]:
         ch = text[i]
         if ch == "(":
             depth += 1
+            if depth > MAX_NESTING:
+                raise ParseError(f"class expression nests deeper than {MAX_NESTING} "
+                                 f"parentheses")
             if depth > 1:
                 buf.append(ch)
         elif ch == ")":

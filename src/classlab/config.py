@@ -29,18 +29,23 @@ class Caps:
 
 DEFAULT_CAPS = Caps()
 
-_ENV_FIELDS = {
-    "CLASSLAB_ENUM_CAP": "enum_cap",
-    "CLASSLAB_ISO_CAP": "iso_cap",
-    "CLASSLAB_SUBGROUP_LIMIT": "subgroup_limit",
-    "CLASSLAB_COORD_CAP": "coord_cap",
-}
+# Each cap that a flag and an environment variable can raise: its `Caps`
+# field, its name in messages and its variable.
+_CAP_ROWS = (
+    ("enum_cap", "enumeration cap", "CLASSLAB_ENUM_CAP"),
+    ("iso_cap", "iso cap", "CLASSLAB_ISO_CAP"),
+    ("subgroup_limit", "subgroup limit", "CLASSLAB_SUBGROUP_LIMIT"),
+    ("coord_cap", "coordinate cap", "CLASSLAB_COORD_CAP"),
+)
+_ENV_FIELDS = {var: field_name for field_name, _, var in _CAP_ROWS}
 
 
-def raise_hint(field_name: str) -> str:
-    """How to raise the cap in a `Caps` field: its flag and environment variable."""
-    var = next(v for v, f in _ENV_FIELDS.items() if f == field_name)
-    return f"raise it with --{field_name.replace('_', '-')} or {var}"
+def cap_message(caps: Caps, field_name: str, what: str, size: int) -> str:
+    """The message for a size over the cap in a `Caps` field: what was
+    measured, the cap's name and value, and its flag and environment variable."""
+    name, var = next((n, v) for f, n, v in _CAP_ROWS if f == field_name)
+    return (f"{what} {size} exceeds {name} {getattr(caps, field_name)}; "
+            f"raise it with --{field_name.replace('_', '-')} or {var}")
 
 
 def caps_from_env(base: Caps = DEFAULT_CAPS) -> Caps:

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .config import DEFAULT_CAPS, Caps, raise_hint
+from .config import DEFAULT_CAPS, Caps, cap_message
 from .errors import CapExceeded, DegreeMismatch, InvalidInput, ParseError
 
 RawPerm = tuple[int, ...]
@@ -411,9 +411,14 @@ class StabChain:
 
 
 class PermGroup:
-    """A finitely generated permutation group on {0, …, degree−1}."""
+    """A finitely generated permutation group on {0, …, degree−1}.
 
-    def __init__(self, degree: int, generators: Iterable = (), name: str | None = None):
+    A constructor that already holds the stabilizer chain of ⟨generators⟩
+    passes it as `chain`; otherwise the chain is built on first use.
+    """
+
+    def __init__(self, degree: int, generators: Iterable = (), name: str | None = None,
+                 chain: StabChain | None = None):
         self.degree = degree
         gens: list[Permutation] = []
         seen: set[RawPerm] = set()
@@ -428,7 +433,7 @@ class PermGroup:
             gens.append(p)
         self.generators: tuple[Permutation, ...] = tuple(gens)
         self.name = name
-        self._chain: StabChain | None = None
+        self._chain = chain
         self._cache: dict = {}
 
     def _coerce(self, g) -> Permutation:
@@ -472,8 +477,7 @@ class PermGroup:
         if cached is None:
             n = self.order()
             if n > caps.enum_cap:
-                raise CapExceeded(f"order {n} exceeds enumeration cap {caps.enum_cap}; "
-                                  f"{raise_hint('enum_cap')}")
+                raise CapExceeded(cap_message(caps, "enum_cap", "order", n))
             cached = tuple(self.chain().iter_elements())
             self._cache["raw_elements"] = cached
         return cached
@@ -516,9 +520,7 @@ class PermGroup:
                 grew = True
         if not grew:
             return self
-        out = PermGroup(self.degree, list(self.generators) + extras)
-        out._chain = chain
-        return out
+        return PermGroup(self.degree, list(self.generators) + extras, chain=chain)
 
     def gen_strings(self) -> list[str]:
         return [str(g) for g in self.generators]
@@ -542,9 +544,7 @@ def group_from_elements(degree: int, raws: Iterable[RawPerm]) -> PermGroup:
     for raw in sorted(raws):
         if chain.extend(raw):
             gens.append(raw)
-    group = PermGroup(degree, gens)
-    group._chain = chain
-    return group
+    return PermGroup(degree, gens, chain=chain)
 
 
 def _pointwise_stabilizer(degree: int, gens: Iterable[RawPerm],
@@ -570,7 +570,10 @@ def point_stabilizer(G: PermGroup, point: int) -> PermGroup:
 class GroupHom:
     """A homomorphism between permutation groups, defined on the source generators.
 
-    An optional pointwise callable computes images directly.  Everything else
+    An optional pointwise callable computes images directly; when only the
+    callable is given, the generator images are read off it, so the two can
+    never disagree.  Images are coerced like `PermGroup` generators (a
+    `Permutation`, an image tuple or list, or cycle text).  Everything else
     reads the graph subgroup Δ = ⟨(g, θ(g))⟩ on the source points followed by
     the target points, with a chain based first at the source's base: the
     generator images extend to a homomorphism exactly when |Δ| = |source|,
@@ -580,17 +583,21 @@ class GroupHom:
     """
 
     def __init__(self, source: PermGroup, target: PermGroup,
-                 gen_images: Sequence[Permutation],
+                 gen_images: Sequence | None = None,
                  map_fn: Callable[[RawPerm], RawPerm] | None = None,
                  kernel: PermGroup | None = None):
+        if gen_images is None:
+            if map_fn is None:
+                raise InvalidInput("a homomorphism needs generator images or a map")
+            gen_images = [map_fn(g) for g in source.raw_gens()]
         if len(gen_images) != len(source.generators):
             raise InvalidInput("one image per source generator is required")
-        for img in gen_images:
-            if img.degree != target.degree:
-                raise DegreeMismatch("generator image degree differs from target degree")
+        images = tuple(target._coerce(img) for img in gen_images)
+        if any(img.degree != target.degree for img in images):
+            raise DegreeMismatch("generator image degree differs from target degree")
         self.source = source
         self.target = target
-        self.gen_images: tuple[Permutation, ...] = tuple(gen_images)
+        self.gen_images: tuple[Permutation, ...] = images
         self._map_fn = map_fn
         self._kernel = kernel
         self._image: PermGroup | None = None
@@ -657,7 +664,7 @@ class GroupHom:
 
 
 def identity_hom(G: PermGroup) -> GroupHom:
-    return GroupHom(G, G, G.generators, map_fn=lambda raw: raw, kernel=trivial_group(G.degree))
+    return GroupHom(G, G, map_fn=lambda raw: raw, kernel=trivial_group(G.degree))
 
 
 def trivial_group(degree: int) -> PermGroup:
@@ -697,12 +704,19 @@ def induced_map(src_gens: list[RawPerm], img_gens: list[RawPerm],
 # Constructions
 
 
+def block_product(degree: int, pieces: Sequence[tuple[int, PermGroup]]) -> PermGroup:
+    """The group generated by each piece's group acting on its block, for
+    (block index, group) pairs; block i is the points i·d … i·d+d−1, d the
+    group's degree.  Generators run through the pieces in order, and the
+    chain is built by construction (`StabChain.from_blocks`)."""
+    return PermGroup(degree, [_place_blocks(degree, [(i, g)])
+                              for i, P in pieces for g in P.raw_gens()],
+                     chain=StabChain.from_blocks(degree, [(i, P.chain()) for i, P in pieces]))
+
+
 def _block_embedding(G0: PermGroup, P: PermGroup, i: int) -> GroupHom:
     """G0 → P placing G0's points on block i of P's points."""
-    def fn(raw: RawPerm) -> RawPerm:
-        return _place_blocks(P.degree, [(i, raw)])
-
-    return GroupHom(G0, P, [Permutation(fn(g)) for g in G0.raw_gens()], map_fn=fn)
+    return GroupHom(G0, P, map_fn=lambda raw: _place_blocks(P.degree, [(i, raw)]))
 
 
 def direct_power(G0: PermGroup, n: int) -> PermGroup:
@@ -712,10 +726,7 @@ def direct_power(G0: PermGroup, n: int) -> PermGroup:
     """
     if n < 1:
         raise InvalidInput("direct power requires n >= 1")
-    degree = n * G0.degree
-    P = PermGroup(degree, [_place_blocks(degree, [(i, g)])
-                           for i in range(n) for g in G0.raw_gens()])
-    P._chain = StabChain.from_blocks(degree, [(i, G0.chain()) for i in range(n)])
+    P = block_product(n * G0.degree, [(i, G0) for i in range(n)])
     P.coordinate_embeddings = [_block_embedding(G0, P, i) for i in range(n)]
     return P
 
@@ -853,8 +864,7 @@ def wreath_by_cosets(G0: PermGroup, Gn: PermGroup, G_sub: PermGroup,
         raise InvalidInput("G_sub must be a subgroup of Gn")
     n = Gn.order() // G_sub.order()
     if n > caps.coord_cap:
-        raise CapExceeded(f"coordinate count {n} exceeds coordinate cap {caps.coord_cap}; "
-                          f"{raise_hint('coord_cap')}")
+        raise CapExceeded(cap_message(caps, "coord_cap", "coordinate count", n))
     cos = coset_action(Gn, G_sub)
     d0, dn = G0.degree, Gn.degree
     degree = n * d0 + dn
@@ -862,18 +872,10 @@ def wreath_by_cosets(G0: PermGroup, Gn: PermGroup, G_sub: PermGroup,
     def lift(g: RawPerm) -> RawPerm:
         return _lift_blocks(cos.apply_raw(g), d0, g)
 
-    base_gens = [_place_blocks(degree, [(i, g)]) for i in range(n) for g in G0.raw_gens()]
-    base = PermGroup(degree, base_gens)
-    base._chain = StabChain.from_blocks(degree, [(i, G0.chain()) for i in range(n)])
-    group = PermGroup(degree, list(base.generators) + [lift(g) for g in Gn.raw_gens()])
-    group._chain = StabChain.from_split(degree, Gn.chain(), lift, base._chain)
-
-    def top_fn(raw: RawPerm) -> RawPerm:
-        return _restrict(raw, n * d0, dn)
-
-    top = GroupHom(group, Gn,
-                   [Permutation(top_fn(g.images)) for g in group.generators],
-                   map_fn=top_fn, kernel=base)
+    base = block_product(degree, [(i, G0) for i in range(n)])
+    group = PermGroup(degree, list(base.generators) + [lift(g) for g in Gn.raw_gens()],
+                      chain=StabChain.from_split(degree, Gn.chain(), lift, base.chain()))
+    top = GroupHom(group, Gn, map_fn=lambda raw: _restrict(raw, n * d0, dn), kernel=base)
     W = WreathProduct(group=group, g0=G0, gn=Gn, gsub=G_sub, n_coords=n,
                       base=base, top=top, coset_hom=cos)
     return W

@@ -2,8 +2,10 @@
 
 Given a target group G, build Γ = G0^N ⋊ Gn (N the index of an embedded copy
 of G in Gn) together with H = H0 × G0^{N−1}, where H0 is a maximal
-self-normalizing subgroup of the simple non-abelian G0.  The normalizer
-N_Γ(H) is computed structurally as (H0 × G0^{N−1}) ⋊ G and, within caps,
+self-normalizing subgroup of the simple non-abelian G0: the stabilizer of
+the least point G0 moves, grown to the stabilizer of a block of G0's action
+on its cosets until that action is primitive.  The normalizer N_Γ(H) is
+computed structurally as (H0 × G0^{N−1}) ⋊ G and, within caps,
 confirmed by brute force, one test per left coset of H in Γ; the certificate
 carries a verified isomorphism N_Γ(H)/H ≅ G.  The module also hosts the
 supporting demonstrators: exhaustive realization search in a fixed ambient
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .config import DEFAULT_CAPS, Caps, raise_hint
+from .config import DEFAULT_CAPS, Caps, cap_message
 from .errors import CapExceeded, FalsificationAlarm, InvalidInput
 from .perm import (
     GroupHom,
@@ -30,6 +32,7 @@ from .perm import (
     _lift_blocks,
     _place_blocks,
     _restrict,
+    block_product,
     coset_action,
     direct_power,
     identity_hom,
@@ -54,8 +57,9 @@ from .universe import alternating
 # Primitivity and brute normalizers
 
 
-def _minimal_block(degree: int, gens: list[RawPerm], beta: int) -> int:
-    """Size of the smallest block containing {0, beta} for a transitive action."""
+def _minimal_block(degree: int, gens: list[RawPerm], beta: int) -> list[int]:
+    """The smallest block containing {0, beta} for a transitive action, in
+    increasing order."""
     parent = list(range(degree))
 
     def find(x: int) -> int:
@@ -76,7 +80,7 @@ def _minimal_block(degree: int, gens: list[RawPerm], beta: int) -> int:
                 parent[rv] = ru
                 queue.append((ru, rv))
     root = find(0)
-    return sum(1 for x in range(degree) if find(x) == root)
+    return [x for x in range(degree) if find(x) == root]
 
 
 def _is_transitive(G: PermGroup) -> bool:
@@ -92,14 +96,18 @@ def _is_transitive(G: PermGroup) -> bool:
     return len(orbit) == G.degree
 
 
+def _proper_block(degree: int, gens: list[RawPerm]) -> list[int] | None:
+    """A block B ∋ 0 with 1 < |B| < degree of a transitive action, or None
+    when the action is primitive."""
+    return next((B for B in (_minimal_block(degree, gens, beta) for beta in range(1, degree))
+                 if len(B) < degree), None)
+
+
 def is_primitive(G: PermGroup) -> bool:
     """No nontrivial block system; the action must be transitive on all points."""
     if not _is_transitive(G):
         raise InvalidInput("primitivity requires a transitive action")
-    degree = G.degree
-    gens = G.raw_gens()
-    return all(_minimal_block(degree, gens, beta) == degree
-               for beta in range(1, degree))
+    return _proper_block(G.degree, G.raw_gens()) is None
 
 
 def brute_normalizer(parent: PermGroup, H: PermGroup,
@@ -116,16 +124,13 @@ def brute_normalizer(parent: PermGroup, H: PermGroup,
     """
     n = parent.order()
     if n > caps.enum_cap:
-        raise CapExceeded(f"order {n} exceeds enumeration cap {caps.enum_cap}; "
-                          f"{raise_hint('enum_cap')}")
+        raise CapExceeded(cap_message(caps, "enum_cap", "order", n))
     reps, _, _ = _coset_index(parent, H)
     hgens = H.raw_gens()
     chain = H.chain().copy()
     grown = [r for r in reps
              if all(H.contains_raw(_conjugate(r, h)) for h in hgens) and chain.extend(r)]
-    N = PermGroup(parent.degree, hgens + grown)
-    N._chain = chain
-    return N
+    return PermGroup(parent.degree, hgens + grown, chain=chain)
 
 
 # ---------------------------------------------------------------------------
@@ -135,33 +140,29 @@ def brute_normalizer(parent: PermGroup, H: PermGroup,
 def maximal_selfnormalizing(G0: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
     """A maximal subgroup H0 of a simple non-abelian G0 with N_{G0}(H0) = H0.
 
-    Maximality is certified by primitivity of the coset action (a coset action
-    with a nontrivial block system would expose an intermediate subgroup), and
-    self-normalization is confirmed by `brute_normalizer`, one test per coset.
+    H0 starts as the stabilizer of the least point G0 moves, a proper
+    subgroup.  A subgroup is maximal exactly when G0's action on its cosets
+    is primitive (Dixon & Mortimer, Cor. 1.5A): a block B containing the
+    coset H0 itself, with 1 < |B| < index, is the set of cosets of its own
+    stabilizer, an intermediate subgroup generated by H0 and the coset
+    representatives of B.  So while the coset action has such a block, H0
+    grows to that subgroup; every step keeps H0 proper and makes it larger,
+    and the walk ends at a maximal subgroup.  Self-normalization is confirmed
+    by `brute_normalizer`, one test per coset.
     """
     if is_abelian(G0):
         raise InvalidInput("a simple non-abelian group is required (input is abelian)")
     if not is_simple(G0, caps):
         raise InvalidInput("a simple non-abelian group is required (input is not simple)")
 
-    H0 = None
-    if _is_transitive(G0):
-        stab = point_stabilizer(G0, 0)
-        if stab.order() > 1 and is_primitive(G0):
-            H0 = stab
-    if H0 is None:
-        proper = [S for S in subgroups(G0, caps=caps) if S.order() < G0.order()]
-        maximal = [S for S in proper
-                   if not any(S.order() < T.order() and S.is_subgroup_of(T)
-                              for T in proper)]
-        maximal = [S for S in maximal if S.order() > 1]
-        if not maximal:
-            raise InvalidInput("no maximal subgroup found under the subgroup cap")
-        H0 = min(maximal, key=lambda S: (-S.order(), S.raw_gens()))
-        if not is_primitive(coset_action(G0, H0).image()):
-            raise FalsificationAlarm(
-                "coset action of a lattice-maximal subgroup has nontrivial blocks",
-                witness={"g0_order": G0.order(), "h0_order": H0.order()})
+    least = min(next(p for p, x in enumerate(g) if x != p) for g in G0.raw_gens())
+    H0 = point_stabilizer(G0, least)
+    while True:
+        action = coset_action(G0, H0)
+        block = _proper_block(action.target.degree, action.target.raw_gens())
+        if block is None:
+            break
+        H0 = H0.extended(action.coset_reps[j] for j in block)
 
     normalizer = brute_normalizer(G0, H0, caps)
     if normalizer.order() != H0.order():
@@ -257,22 +258,16 @@ def build_realization(G: PermGroup, G0: PermGroup, Gn: PermGroup,
                          "n": N, "gn_order": Gn.order()})
     checks["order_arithmetic"] = "passed"
 
-    h_gens = [wp.coordinate_embedding(0).apply_raw(h) for h in H0.raw_gens()]
-    for i in range(1, N):
-        emb = wp.coordinate_embedding(i)
-        h_gens.extend(emb.apply_raw(g) for g in G0.raw_gens())
-    H = PermGroup(Gamma.degree, [Permutation(g) for g in h_gens])
-    H._chain = StabChain.from_blocks(
-        Gamma.degree, [(0, H0.chain())] + [(i, G0.chain()) for i in range(1, N)])
+    H = block_product(Gamma.degree, [(0, H0)] + [(i, G0) for i in range(1, N)])
 
     # M = H ⋊ lift(image), its chain by construction; |M| = |H|·|G| then holds
     # as soon as the lifts normalize H, which quotient tests before it reads
     # |M|.  Its normality test sifts each conjugate h^m; only an alarm sifts
     # them again, to name the pair that fails.
     lift_gens = [wp.top_lift(embed.apply(g)) for g in G.generators]
-    M = PermGroup(Gamma.degree, list(H.generators) + lift_gens)
-    M._chain = StabChain.from_split(Gamma.degree, image.chain(),
-                                    lambda raw: wp.top_lift(raw).images, H.chain())
+    M = PermGroup(Gamma.degree, list(H.generators) + lift_gens,
+                  chain=StabChain.from_split(Gamma.degree, image.chain(),
+                                             lambda raw: wp.top_lift(raw).images, H.chain()))
     try:
         Q, _ = quotient(M, H)
     except InvalidInput:
@@ -391,13 +386,13 @@ def alternating_embedding(G: PermGroup, n: int,
         r = reg.apply_raw(raw)
         return _place_blocks(n, [(0, r), (1, r)] if doubled else [(0, r)])
 
-    gen_images = [Permutation(fn(g)) for g in G.raw_gens()]
-    for p in gen_images:
+    hom = GroupHom(G, Gn, map_fn=fn)
+    for p in hom.gen_images:
         if p.parity() != 0:
             raise FalsificationAlarm(
                 "regular embedding produced an odd permutation",
                 witness={"image": str(p)})
-    return GroupHom(G, Gn, gen_images, map_fn=fn)
+    return hom
 
 
 # ---------------------------------------------------------------------------
@@ -452,13 +447,10 @@ def split_check(G: PermGroup, N: PermGroup,
 def conjugation_automorphism(G: PermGroup, s) -> GroupHom:
     """The automorphism x ↦ sxs⁻¹ of G, for s normalizing G (s need not lie in G)."""
     raw = G._coerce(s).images
-    images = []
-    for g in G.raw_gens():
-        img = _conjugate(raw, g)
-        if not G.contains_raw(img):
-            raise InvalidInput("conjugating element does not normalize the group")
-        images.append(Permutation(img))
-    return GroupHom(G, G, images, map_fn=lambda x: _conjugate(raw, x))
+    hom = GroupHom(G, G, map_fn=lambda x: _conjugate(raw, x))
+    if not all(G.contains_raw(img.images) for img in hom.gen_images):
+        raise InvalidInput("conjugating element does not normalize the group")
+    return hom
 
 
 @dataclass
@@ -484,13 +476,7 @@ def diagonal_subgroup(G0: PermGroup, n: int, phis: list) -> DiagonalSubgroup:
         if phi is None:
             homs.append(None)
             continue
-        if isinstance(phi, GroupHom):
-            hom = phi
-        else:
-            images = [p if isinstance(p, Permutation)
-                      else Permutation.from_cycles(p, G0.degree)
-                      for p in phi]
-            hom = GroupHom(G0, G0, images)
+        hom = phi if isinstance(phi, GroupHom) else GroupHom(G0, G0, phi)
         if len(hom.gen_images) != len(G0.generators):
             raise InvalidInput("twist must map the ambient factor's generators")
         if not _is_automorphism(G0, hom):
@@ -508,7 +494,7 @@ def diagonal_subgroup(G0: PermGroup, n: int, phis: list) -> DiagonalSubgroup:
         for i in support:
             piece = embeddings[i].apply_raw(homs[i].apply_raw(g))
             word = _compose(word, piece)
-        gens.append(Permutation(word))
+        gens.append(word)
     S = PermGroup(ambient.degree, gens)
     if S.order() != G0.order():
         raise FalsificationAlarm(
@@ -529,8 +515,7 @@ def block_swap_automorphism(G0: PermGroup, n: int, i: int, j: int) -> GroupHom:
     sigma = list(range(n))
     sigma[i], sigma[j] = j, i
     swap_raw = _lift_blocks(tuple(sigma), G0.degree)
-    images = [Permutation(_conjugate(swap_raw, g)) for g in D.raw_gens()]
-    return GroupHom(D, D, images, map_fn=lambda x: _conjugate(swap_raw, x))
+    return GroupHom(D, D, map_fn=lambda x: _conjugate(swap_raw, x))
 
 
 def coordinatewise_automorphism(G0: PermGroup, n: int,
@@ -548,8 +533,7 @@ def coordinatewise_automorphism(G0: PermGroup, n: int,
         return _place_blocks(D.degree, [(i, alpha.apply_raw(_restrict(raw, i * d, d)))
                                         for i, alpha in enumerate(alphas)])
 
-    gen_images = [Permutation(fn(g)) for g in D.raw_gens()]
-    return GroupHom(D, D, gen_images, map_fn=fn)
+    return GroupHom(D, D, map_fn=fn)
 
 
 def compose_automorphisms(outer: GroupHom, inner: GroupHom) -> GroupHom:
@@ -557,11 +541,8 @@ def compose_automorphisms(outer: GroupHom, inner: GroupHom) -> GroupHom:
     if outer.source.degree != inner.source.degree:
         raise InvalidInput("automorphism composition needs a common degree")
 
-    def fn(raw: RawPerm) -> RawPerm:
-        return outer.apply_raw(inner.apply_raw(raw))
-
-    gen_images = [Permutation(fn(g)) for g in inner.source.raw_gens()]
-    return GroupHom(inner.source, outer.target, gen_images, map_fn=fn)
+    return GroupHom(inner.source, outer.target,
+                    map_fn=lambda raw: outer.apply_raw(inner.apply_raw(raw)))
 
 
 def factor_permutation_check(G0: PermGroup, n: int, theta: GroupHom,
@@ -577,9 +558,7 @@ def factor_permutation_check(G0: PermGroup, n: int, theta: GroupHom,
     D = direct_power(G0, n)
     if theta.source.degree != D.degree:
         raise InvalidInput("theta does not act on the direct power")
-    if not _is_automorphism(D, GroupHom(D, D, [Permutation(theta.apply_raw(g))
-                                               for g in D.raw_gens()],
-                                        map_fn=theta.apply_raw)):
+    if not _is_automorphism(D, GroupHom(D, D, map_fn=theta.apply_raw)):
         raise InvalidInput("theta is not an automorphism of the direct power")
 
     d = G0.degree
@@ -590,7 +569,7 @@ def factor_permutation_check(G0: PermGroup, n: int, theta: GroupHom,
         image_gens = []
         for g in G0.raw_gens():
             img = theta.apply_raw(emb.apply_raw(g))
-            image_gens.append(Permutation(img))
+            image_gens.append(img)
             blocks.update(p // d for p in range(D.degree) if img[p] != p)
         if len(blocks) != 1:
             raise FalsificationAlarm(

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Any, Callable, Iterable
 
-from .config import DEFAULT_CAPS, Caps, raise_hint
+from .config import DEFAULT_CAPS, Caps, cap_message
 from .errors import (
     CapExceeded,
     FalsificationAlarm,
@@ -135,9 +135,7 @@ def normal_closure(G: PermGroup, seeds: Iterable) -> PermGroup:
                     gens.append(c)
                     nxt.append(c)
         frontier = nxt
-    group = PermGroup(G.degree, gens)
-    group._chain = chain
-    return group
+    return PermGroup(G.degree, gens, chain=chain)
 
 
 def normal_in(parent: PermGroup, N: PermGroup) -> bool:
@@ -157,28 +155,25 @@ def derived_subgroup(G: PermGroup) -> PermGroup:
     return normal_closure(G, comms)
 
 
-def derived_series(G: PermGroup) -> list[PermGroup]:
+def _series(G: PermGroup, step: Callable[[PermGroup], PermGroup]) -> list[PermGroup]:
+    """G, step(G), step(step(G)), …, ending at the first trivial term, or at
+    the last term before one whose order equals its predecessor's."""
     series = [G]
-    while True:
-        nxt = derived_subgroup(series[-1])
+    while series[-1].order() > 1:
+        nxt = step(series[-1])
         if nxt.order() == series[-1].order():
-            return series
+            break
         series.append(nxt)
-        if nxt.order() == 1:
-            return series
+    return series
+
+
+def derived_series(G: PermGroup) -> list[PermGroup]:
+    return _series(G, derived_subgroup)
 
 
 def lower_central_series(G: PermGroup) -> list[PermGroup]:
-    series = [G]
-    while True:
-        cur = series[-1]
-        comms = [_commutator(a, b) for a in G.raw_gens() for b in cur.raw_gens()]
-        nxt = normal_closure(G, comms)
-        if nxt.order() == cur.order():
-            return series
-        series.append(nxt)
-        if nxt.order() == 1:
-            return series
+    return _series(G, lambda cur: normal_closure(
+        G, [_commutator(a, b) for a in G.raw_gens() for b in cur.raw_gens()]))
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +387,7 @@ def quotient(G: PermGroup, N: PermGroup) -> tuple[PermGroup, GroupHom]:
         return G, identity_hom(G)
     if N.order() == G.order():
         Q = trivial_group(1)
-        hom = GroupHom(G, Q, [Permutation((0,)) for _ in G.generators],
-                       map_fn=lambda raw: (0,), kernel=G)
-        return Q, hom
+        return Q, GroupHom(G, Q, map_fn=lambda raw: (0,), kernel=G)
     hom = coset_action(G, N, kernel=N)
     return hom.image(), hom
 
@@ -413,8 +406,7 @@ def fingerprint(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> tuple:
     if cached is not None:
         return cached
     if G.order() > caps.iso_cap:
-        raise CapExceeded(f"order {G.order()} exceeds iso cap {caps.iso_cap}; "
-                          f"{raise_hint('iso_cap')}")
+        raise CapExceeded(cap_message(caps, "iso_cap", "order", G.order()))
     classes = conjugacy_classes(G, caps)
     hist: dict[int, int] = {}
     for cls in classes:
@@ -510,20 +502,19 @@ def isomorphic(G: PermGroup, H: PermGroup,
     tests; the first success in that order is returned and certificates are
     deterministic.
     """
-    cap = caps.iso_cap
     # A known order over the cap raises before the other group's chain is built.
     for X in (G, H):
-        if X._chain is not None and X.order() > cap:
-            raise CapExceeded(f"order {X.order()} exceeds iso cap {cap}; {raise_hint('iso_cap')}")
+        if X._chain is not None and X.order() > caps.iso_cap:
+            raise CapExceeded(cap_message(caps, "iso_cap", "order", X.order()))
     if G.order() != H.order():
         return None
     n = G.order()
-    if n > cap:
-        raise CapExceeded(f"order {n} exceeds iso cap {cap}; {raise_hint('iso_cap')}")
+    if n > caps.iso_cap:
+        raise CapExceeded(cap_message(caps, "iso_cap", "order", n))
     if fingerprint(G, caps) != fingerprint(H, caps):
         return None
     if n == 1:
-        return IsoCertificate(GroupHom(G, H, [], map_fn=lambda raw: _identity(H.degree),
+        return IsoCertificate(GroupHom(G, H, map_fn=lambda raw: _identity(H.degree),
                                        kernel=trivial_group(G.degree)))
 
     seq, partial_orders = _generating_sequence(G, caps)
@@ -563,18 +554,12 @@ def isomorphic(G: PermGroup, H: PermGroup,
     if leaf is None:
         return None
     table = leaf[1]
-    gen_images = [Permutation(table[g]) for g in G.raw_gens()]
-    hom = GroupHom(G, H, gen_images, kernel=trivial_group(G.degree))
-    return IsoCertificate(hom)
+    return IsoCertificate(GroupHom(G, H, [table[g] for g in G.raw_gens()],
+                                   kernel=trivial_group(G.degree)))
 
 
 # ---------------------------------------------------------------------------
 # Subgroup enumeration
-
-
-def _limit_exceeded(count: int, cap: int) -> SubgroupLimitExceeded:
-    return SubgroupLimitExceeded(f"subgroup count {count} exceeds subgroup limit {cap}; "
-                                 f"{raise_hint('subgroup_limit')}")
 
 
 def subgroups(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> list[PermGroup]:
@@ -613,15 +598,15 @@ def subgroup_classes(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> list[int]:
 
 def _subgroup_table(G: PermGroup, caps: Caps) -> tuple[list[PermGroup], list[int]]:
     """`subgroups(G)` and `subgroup_classes(G)`, cached as one entry."""
-    cap = caps.subgroup_limit
     cached = G._cache.get("subgroups")
     if cached is not None:
-        if len(cached[0]) > cap:
-            raise _limit_exceeded(len(cached[0]), cap)
+        if len(cached[0]) > caps.subgroup_limit:
+            raise SubgroupLimitExceeded(
+                cap_message(caps, "subgroup_limit", "subgroup count", len(cached[0])))
         return cached
 
     elems = sorted_elements(G, caps)
-    gen_lists, first = _enumerate_subgroups(G, elems, cap)
+    gen_lists, first = _enumerate_subgroups(G, elems, caps)
     atoms: dict[int, Permutation] = {}
     groups = [PermGroup(G.degree, [atoms.setdefault(a, Permutation(elems[a])) for a in gens])
               for gens in gen_lists]
@@ -630,7 +615,7 @@ def _subgroup_table(G: PermGroup, caps: Caps) -> tuple[list[PermGroup], list[int
 
 
 def _enumerate_subgroups(G: PermGroup, elems: tuple[RawPerm, ...],
-                         cap: int) -> tuple[list[tuple[int, ...]], list[int]]:
+                         caps: Caps) -> tuple[list[tuple[int, ...]], list[int]]:
     """The generator indices into `elems` of every subgroup, in result order,
     and the list position of the first member of each one's class."""
     n = len(elems)
@@ -661,8 +646,9 @@ def _enumerate_subgroups(G: PermGroup, elems: tuple[RawPerm, ...],
     def record(mask: int, entry: tuple, new: list[int]) -> None:
         found[mask] = entry
         new.append(mask)
-        if len(found) > cap:
-            raise _limit_exceeded(len(found), cap)
+        if len(found) > caps.subgroup_limit:
+            raise SubgroupLimitExceeded(
+                cap_message(caps, "subgroup_limit", "subgroup count", len(found)))
         if mask in conj:
             return
         conj[mask] = (mask, None, None)
@@ -867,6 +853,11 @@ def has_prime_order_quotient(G: PermGroup) -> bool:
     return derived_subgroup(G).order() < G.order()
 
 
+# The largest search space, the product of the fiber sizes, that
+# `complement_exists` walks; a fixed bound with no flag or environment variable.
+COMPLEMENT_SPACE_BOUND = 2_000_000
+
+
 def complement_exists(G: PermGroup, N: PermGroup,
                       caps: Caps = DEFAULT_CAPS) -> PermGroup | None:
     """A subgroup K with K ∩ N = 1 and KN = G, or None.
@@ -901,8 +892,9 @@ def complement_exists(G: PermGroup, N: PermGroup,
             return None
         fibers.append(fiber)
         space *= len(fiber)
-        if space > 2_000_000:
-            raise CapExceeded("complement search space too large")
+        if space > COMPLEMENT_SPACE_BOUND:
+            raise CapExceeded(f"complement search space {space} exceeds fixed bound "
+                              f"{COMPLEMENT_SPACE_BOUND}")
 
     def extend(picked: list[RawPerm], chain: StabChain, x: RawPerm) -> StabChain | None:
         trial = chain.copy()
@@ -916,6 +908,4 @@ def complement_exists(G: PermGroup, N: PermGroup,
     if leaf is None:
         return None
     picked, chain = leaf
-    K = PermGroup(G.degree, [Permutation(x) for x in picked])
-    K._chain = chain
-    return K
+    return PermGroup(G.degree, picked, chain=chain)

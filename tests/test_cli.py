@@ -5,7 +5,9 @@ import sys
 import pytest
 
 from classlab import cli
+from classlab.classes import MAX_NESTING
 from classlab.cli import main
+from classlab.config import Caps, cap_message
 
 
 def run_cli(capsys, *argv):
@@ -98,6 +100,20 @@ class TestClassCommand:
         assert code == 0
         assert "yes" in out
         assert "[1, 2, 4, 12, 24]" in out
+
+    @pytest.mark.parametrize("op", ["dual", "hat"])
+    def test_deepest_accepted_nesting_evaluates_on_s5(self, capsys, op):
+        d = MAX_NESTING
+        code, out, err = run_cli(capsys, "class", f"{op}(" * d + "abelian" + ")" * d, "S5")
+        assert code == 0 and err == ""
+        assert out.startswith("S5 in ")
+
+    @pytest.mark.parametrize("depth", [MAX_NESTING + 1, 400])
+    def test_deeper_nesting_is_a_parse_error(self, capsys, depth):
+        text = "dual(" * depth + "abelian" + ")" * depth
+        code, out, err = run_cli(capsys, "class", text, "C2")
+        assert code == 2 and out == ""
+        assert err == f"error: class expression nests deeper than {MAX_NESTING} parentheses\n"
 
     def test_trivial_membership(self, capsys):
         code, out, _ = run_cli(capsys, "class", "trivial", "C1")
@@ -346,6 +362,10 @@ class TestCapsPlumbing:
         monkeypatch.setenv("CLASSLAB_SUBGROUP_LIMIT", "10")
         code, _, err = run_cli(capsys, "search", "S4", "C1")
         assert code == 3 and err == expected
+
+    def test_iso_cap_message_names_both_ways_to_raise_it(self):
+        assert cap_message(Caps(iso_cap=7), "iso_cap", "order", 8) == (
+            "order 8 exceeds iso cap 7; raise it with --iso-cap or CLASSLAB_ISO_CAP")
 
     def test_search_has_no_limit_option(self, capsys):
         # --subgroup-limit is the one bound on the subgroups search scans.

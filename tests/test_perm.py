@@ -16,6 +16,7 @@ from classlab.perm import (
     _conjugate,
     _inverse,
     _place_blocks,
+    block_product,
     coset_action,
     direct_power,
     generate,
@@ -271,7 +272,7 @@ class TestStabChain:
 
 
 @st.composite
-def block_product(draw):
+def block_case(draw):
     """(degree, block size, generators per block): a group generated on
     disjoint blocks, some of them possibly trivial, with fixed points after
     the last block."""
@@ -346,6 +347,17 @@ class TestBlockChains:
         tail = G.degree - top_degree
         assert all(p >= tail for p in chain.base()[:top_levels])
 
+    def test_block_product_of_unlike_pieces(self):
+        # H0 × G0 × G0 as the realization builds H, with two fixed points after.
+        A5 = parse_group_spec("A5")
+        A4 = point_stabilizer(A5, 0)
+        pieces = [(0, A4), (1, A5), (2, A5)]
+        G = block_product(17, pieces)
+        assert G.raw_gens() == [_place_blocks(17, [(i, g)])
+                                for i, P in pieces for g in P.raw_gens()]
+        assert G.order() == 12 * 60 * 60
+        self._assert_matches_fresh(G)
+
     @pytest.mark.parametrize("spec", ["C2", "S3", "D8", "Q8", "A4", "A5", "SL23", "D14"])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_direct_power_of_catalog_group(self, spec, n):
@@ -415,7 +427,7 @@ class TestBlockChains:
         self._assert_valid_split_chain(W.group, Gn.degree, len(Gn.chain().levels),
                                        random.Random(seed))
 
-    @given(block_product(), st.data())
+    @given(block_case(), st.data())
     @settings(max_examples=60, deadline=None)
     def test_membership_agrees_with_fresh_chain(self, case, data):
         degree, d, gens = case
@@ -496,6 +508,27 @@ class TestHomomorphisms:
         assert all(h.apply_raw(x) == fx for x, fx in table.items())
         ident = tuple(range(target))
         assert h.kernel().element_set() == {x for x, fx in table.items() if fx == ident}
+
+    def test_images_are_read_off_the_map(self):
+        S4 = parse_group_spec("S4")
+        t = Permutation.from_cycles("(1 2)", 4).images
+
+        def fn(raw):
+            return _conjugate(t, raw)
+
+        h = GroupHom(S4, S4, map_fn=fn)
+        assert [p.images for p in h.gen_images] == [fn(g) for g in S4.raw_gens()]
+        assert h.is_isomorphism_onto(S4)
+
+    def test_images_are_coerced_like_generators(self):
+        S3 = generate(["(1 2)", "(1 2 3)"], 3)
+        C2 = generate(["(1 2)"], 2)
+        h = GroupHom(S3, C2, ["(1 2)", (0, 1)])
+        assert h.gen_images == (Permutation((1, 0)), Permutation((0, 1)))
+        with pytest.raises(InvalidInput):
+            GroupHom(S3, C2)
+        with pytest.raises(DegreeMismatch):
+            GroupHom(S3, C2, [(1, 0, 2), (0, 1)])
 
     def test_apply_outside_source_rejected(self):
         A3 = generate(["(1 2 3)"], 3)

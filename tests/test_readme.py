@@ -6,7 +6,7 @@ set, and its output must be the lines that follow it, up to the next `$`
 line or the end of the block.  Text output is compared byte for byte; JSON
 output is compared parsed, without `timing`, and README must show it in the
 printed layout.  The cap table must list the program's caps, flags,
-environment variables and defaults.
+environment variables and defaults, and the fixed bounds their values.
 """
 import dataclasses
 import json
@@ -16,8 +16,10 @@ from pathlib import Path
 
 import pytest
 
+from classlab.classes import MAX_NESTING
 from classlab.cli import _common_parser, main
 from classlab.config import _ENV_FIELDS, Caps
+from classlab.structure import COMPLEMENT_SPACE_BOUND
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 BLOCKS = re.findall(r"^```[a-z]*\n(.*?)^```\n", README, flags=re.S | re.M)
@@ -87,3 +89,11 @@ def test_cap_table_matches_the_program():
     for default, flag, var in rows:
         assert flags[flag] == _ENV_FIELDS[var]
         assert int(default) == getattr(Caps(), _ENV_FIELDS[var])
+
+
+def test_fixed_bounds_match_the_program():
+    text = " ".join(README.split())
+    assert f"nests at most {MAX_NESTING} parentheses deep" in text
+    assert f"more than {MAX_NESTING} parentheses deep is a parse error" in text
+    assert f"at most {COMPLEMENT_SPACE_BOUND} candidate lifts" in text
+    assert f"exceeds fixed bound {COMPLEMENT_SPACE_BOUND}`" in text

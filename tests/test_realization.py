@@ -1,9 +1,11 @@
 """Tests for the normalizer-quotient realization machinery."""
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from classlab import perm
+from classlab import perm, realization, structure
 from classlab.config import Caps
 from classlab.errors import CapExceeded, FalsificationAlarm, InvalidInput
 from classlab.perm import (
@@ -13,9 +15,11 @@ from classlab.perm import (
     StabChain,
     WreathProduct,
     _compose,
+    coset_action,
     direct_power,
     generate,
     identity_hom,
+    regular_representation,
     trivial_group,
 )
 from classlab.realization import (
@@ -82,12 +86,50 @@ def test_maximal_selfnormalizing_psl168():
 
 
 def test_maximal_selfnormalizing_fallback_on_fixed_point():
-    # A5 acting on 6 points with one fixed: intransitive, so the subgroup
-    # lattice supplies the maximal subgroup instead of a point stabilizer.
+    # A5 acting on 6 points with one fixed: intransitive, but the stabilizer
+    # of a moved point is still a maximal A4.
     G = generate(["(1 2 3 4 5)", "(1 2 3)"], 6)
     assert G.order() == 60
     H0 = maximal_selfnormalizing(G)
     assert H0.order() == 12
+
+
+def a5_on_pairs():
+    """A5 acting on the 10 two-point subsets of {1, …, 5}."""
+    pairs = list(combinations(range(5), 2))
+    return generate([tuple(pairs.index(tuple(sorted((g[a], g[b])))) for a, b in pairs)
+                     for g in alternating(5).raw_gens()], 10)
+
+
+# A5 in actions other than the natural one: fixing point 1 of six (so the
+# least moved point is not 0), regular on 60 points (every point stabilizer
+# is trivial, so the walk must grow it), and on the 10 pairs.
+A5_ACTIONS = {
+    "fixing-a-point": lambda: generate(["(2 3 4 5 6)", "(2 3 4)"], 6),
+    "regular": lambda: regular_representation(alternating(5)).image(),
+    "on-pairs": a5_on_pairs,
+}
+
+
+@pytest.mark.parametrize("action", sorted(A5_ACTIONS))
+def test_maximal_selfnormalizing_in_other_actions(action):
+    G = A5_ACTIONS[action]()
+    assert G.order() == 60
+    H0 = maximal_selfnormalizing(G)
+    assert H0.is_subgroup_of(G) and 1 < H0.order() < 60
+    assert brute_normalizer(G, H0).order() == H0.order()
+    assert is_primitive(coset_action(G, H0).image())
+
+
+@pytest.mark.parametrize("action", sorted(A5_ACTIONS))
+def test_maximal_selfnormalizing_enumerates_no_subgroups(action, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("subgroups() called")
+
+    G = A5_ACTIONS[action]()
+    monkeypatch.setattr(structure, "subgroups", refuse)
+    monkeypatch.setattr(realization, "subgroups", refuse)
+    assert maximal_selfnormalizing(G).order() in (6, 10, 12)
 
 
 def test_maximal_selfnormalizing_rejects_bad_input():

@@ -150,6 +150,17 @@ class TestCenterAndClosure:
         assert [H.order() for H in lower_central_series(D8())] == [8, 2, 1]
         assert [H.order() for H in lower_central_series(S3())] == [6, 3]
 
+    def test_derived_series_members_match_oracle(self):
+        G = S4()
+        expected = [G.element_set()]
+        while len(expected[-1]) > 1:
+            expected.append(oracles.naive_commutator_subgroup(expected[-1], 4))
+        assert [H.element_set() for H in derived_series(G)] == expected
+
+    def test_series_of_the_trivial_group(self):
+        E = generate([], 3)
+        assert derived_series(E) == [E] and lower_central_series(E) == [E]
+
 
 class TestPredicates:
     def test_frozen_table(self):
@@ -869,6 +880,15 @@ class TestComplements:
     def test_q8_over_center_has_none(self):
         G = Q8()
         assert complement_exists(G, center(G)) is None
+
+    def test_search_space_over_the_fixed_bound(self, monkeypatch):
+        # The fiber over the quotient generator is the 6 transpositions.
+        monkeypatch.setattr(structure, "COMPLEMENT_SPACE_BOUND", 5)
+        with pytest.raises(CapExceeded) as exc:
+            complement_exists(S4(), A4())
+        assert str(exc.value) == "complement search space 6 exceeds fixed bound 5"
+        monkeypatch.setattr(structure, "COMPLEMENT_SPACE_BOUND", 6)
+        assert complement_exists(S4(), A4()).order() == 2
 
     def test_s3_over_c3(self):
         G = S3()
