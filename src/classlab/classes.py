@@ -17,23 +17,21 @@ from __future__ import annotations
 
 import math
 import re
-import weakref
 from dataclasses import dataclass, field
 
 from .config import DEFAULT_CAPS, Caps
 from .errors import CapExceeded, InvalidInput, ParseError
 from .perm import PermGroup
 from .structure import (
+    IsoTypes,
     is_abelian,
     is_cyclic,
     is_nilpotent,
     is_p_group,
     is_simple,
     is_solvable,
-    isomorphic,
-    fingerprint,
+    lattice_quotient,
     normal_subgroups,
-    quotient,
     radical_factorization,
     subgroup_classes,
     subgroups,
@@ -62,7 +60,7 @@ class ClassExpr:
     def __init__(self, op: str, *args):
         if op not in _OPS:
             raise InvalidInput(f"unknown class operator {op!r}")
-        if op == "pi":  # a set of primes: one order, no repeats
+        if op in ("pi", "set"):  # a set of primes or specs: one order, no repeats
             args = tuple(sorted(set(args)))
         self.op = op
         self.args = args
@@ -120,6 +118,9 @@ def parse_class_expr(text: str) -> ClassExpr:
 # The deepest parenthesis nesting a class expression may have; a fixed bound
 # with no flag.  Both `dual` and `hat` nested this deep evaluate on S5.
 MAX_NESTING = 100
+
+# The largest k of an iterated dual `dualn(C,k)`; a fixed bound with no flag.
+MAX_DUAL_DEPTH = 5
 
 
 def _split_args(text: str, pos: int) -> tuple[list[str], int]:
@@ -212,87 +213,26 @@ class AuditReport:
 
 
 class ClassEval:
-    """Membership evaluator with iso-type memoization.
+    """Membership evaluator: verdicts memoized per isomorphism type.
 
-    Groups are canonicalized to iso-type ids.  A group equal to one seen
-    before as a subgroup of Sym(n) takes its id through the identity map,
-    with no search: either its degree and generator tuple equal those of any
-    group seen before, or it has the degree and order of a representative
-    whose generators it contains.  Any other group goes through a
-    fingerprint-bucketed registry, where a bucket hit is confirmed by a
-    certified isomorphism before the id is shared, so fingerprint collisions
-    can never leak results across genuinely different groups.
-
-    Membership is evaluated on the registry's representative of the id (the
-    first group seen of that type; classes are isomorphism-closed), so its
-    lattice and quotients serve every copy.  `member_trace`, `dual_witness`
-    and `hat_series` still read witnesses and series off the queried group
-    itself.  Per-group state is keyed weakly, so of the groups only the one
-    representative per iso type outlives its caller; the (degree, generator
-    tuple) of every group seen is kept, so a fresh parse of a group seen
-    before, or a copy of it, takes its id with no work.
+    Groups are canonicalized to iso-type ids by an `IsoTypes` registry, and
+    membership is evaluated on the registry's representative of the id (the
+    first group seen of that type; classes are isomorphism-closed), so the
+    lattice and quotients cached on it serve every copy.  `member_trace`,
+    `dual_witness` and `hat_series` still read witnesses and series off the
+    queried group itself.  The evaluator keeps only verdicts and the groups
+    of its `set(...)` specs; lattices and quotients stay cached on their
+    groups.
     """
 
     def __init__(self, caps: Caps = DEFAULT_CAPS):
         self.caps = caps
-        # fingerprint ↦ the ids of the iso types in that bucket
-        self._registry: dict[tuple, list[int]] = {}
-        # id ↦ the first group seen of that iso type, its representative
-        self._reps: list[PermGroup] = []
-        # (degree, order) ↦ the ids whose representative has them
-        self._by_size: dict[tuple[int, int], list[int]] = {}
-        # (degree, generator tuple) of every group seen ↦ its id
-        self._gid_of_gens: dict[tuple, int] = {}
-        self._gid_of: weakref.WeakKeyDictionary[PermGroup, int] = weakref.WeakKeyDictionary()
+        self.types = IsoTypes(caps)
         self._memo: dict[tuple, bool] = {}
-        # G ↦ {lattice index ↦ quotient}, None standing for G/1 = G
-        self._quotients: weakref.WeakKeyDictionary[PermGroup, dict[int, PermGroup | None]] = (
-            weakref.WeakKeyDictionary())
         self._finite_sets: dict[tuple[str, ...], list[PermGroup]] = {}
 
-    # -- canonicalization ------------------------------------------------
-
     def canon_id(self, G: PermGroup) -> int:
-        gid = self._gid_of.get(G)
-        if gid is not None:
-            return gid
-        gens_key = (G.degree, tuple(G.raw_gens()))
-        gid = self._gid_of_gens.get(gens_key)
-        if gid is None:
-            gid = self._register(G)
-            self._gid_of_gens[gens_key] = gid
-        self._gid_of[G] = gid
-        return gid
-
-    def _register(self, G: PermGroup) -> int:
-        # A representative equal to G as a subgroup of Sym(n) is isomorphic
-        # to it through the identity map, so no search runs.
-        same_size = self._by_size.setdefault((G.degree, G.order()), [])
-        for gid in same_size:
-            if self._reps[gid].same_group(G):
-                return gid
-        bucket = self._registry.setdefault(fingerprint(G, self.caps), [])
-        for gid in bucket:
-            if isomorphic(self._reps[gid], G, self.caps) is not None:
-                return gid
-        gid = len(self._reps)
-        self._reps.append(G)
-        same_size.append(gid)
-        bucket.append(gid)
-        return gid
-
-    def lattice(self, G: PermGroup):
-        return normal_subgroups(G, self.caps)
-
-    def quotient_at(self, G: PermGroup, idx: int) -> PermGroup:
-        known = self._quotients.setdefault(G, {})
-        if idx not in known:
-            N = self.lattice(G).members[idx]
-            Q, _ = quotient(G, N)
-            # Holding G under its own weak key would keep it alive.
-            known[idx] = None if Q is G else Q
-        Q = known[idx]
-        return G if Q is None else Q
+        return self.types.id_of(G)
 
     # -- membership ------------------------------------------------------
 
@@ -302,7 +242,7 @@ class ClassEval:
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        value = _OPS[C.op][1](self, self._reps[gid], *C.args)
+        value = _OPS[C.op][1](self, self.types.reps[gid], *C.args)
         self._memo[key] = value
         return value
 
@@ -310,7 +250,7 @@ class ClassEval:
         groups = self._finite_sets.get(specs)
         if groups is None:
             groups = self._finite_sets[specs] = [parse_group_spec(s) for s in specs]
-        return any(G.order() == M.order() and isomorphic(G, M, self.caps) is not None
+        return any(G.order() == M.order() and self.canon_id(G) == self.canon_id(M)
                    for M in groups)
 
     def _alt_ge(self, G: PermGroup, n: int) -> bool:
@@ -324,7 +264,7 @@ class ClassEval:
             if alt_order > order:
                 return False
             if alt_order == order:
-                return isomorphic(G, alternating(m), self.caps) is not None
+                return self.canon_id(G) == self.canon_id(alternating(m))
             m += 1
 
     def dual_witness(self, C: ClassExpr, G: PermGroup) -> PermGroup | None:
@@ -332,12 +272,11 @@ class ClassEval:
 
         G is in the dual of C exactly when this returns None.
         """
-        lat = self.lattice(G)
         n = G.order()
-        for idx, N in enumerate(lat.members):
+        for idx, N in enumerate(normal_subgroups(G, self.caps).members):
             if N.order() == n:
                 continue
-            if self.member(C, self.quotient_at(G, idx)):
+            if self.member(C, lattice_quotient(G, idx, self.caps)):
                 return N
         return None
 
@@ -350,11 +289,10 @@ class ClassEval:
         hat_key = (ClassExpr("hat", C).text(), self.canon_id(G))
         if self._memo.get(hat_key) is False:
             return None
-        lat = self.lattice(G)
-        for idx, N in enumerate(lat.members):
+        for idx, N in enumerate(normal_subgroups(G, self.caps).members):
             if N.order() == G.order():
                 continue
-            if not self.member(C, self.quotient_at(G, idx)):
+            if not self.member(C, lattice_quotient(G, idx, self.caps)):
                 continue
             below = self.hat_series(C, N, G.order())
             if below is not None:
@@ -369,9 +307,8 @@ class ClassEval:
         """True iff every maximal-normal quotient lies in C (vacuous for 1)."""
         if G.order() == 1:
             return True
-        lat = self.lattice(G)
-        for idx, flag in enumerate(lat.maximal):
-            if flag and not self.member(C, self.quotient_at(G, idx)):
+        for idx, flag in enumerate(normal_subgroups(G, self.caps).maximal):
+            if flag and not self.member(C, lattice_quotient(G, idx, self.caps)):
                 return False
         return True
 
@@ -386,9 +323,9 @@ class ClassEval:
         return self.member(ClassExpr("dualn", C, k), G)
 
     def _dual_iter(self, G: PermGroup, C: ClassExpr, k: int) -> bool:
-        if k > self.caps.dual_depth:
+        if k > MAX_DUAL_DEPTH:
             raise CapExceeded(f"dual-iteration depth {k} exceeds configured depth "
-                              f"{self.caps.dual_depth}")
+                              f"{MAX_DUAL_DEPTH}")
         for _ in range(k):
             C = ClassExpr("dual", C)
         return self.member(C, G)
@@ -403,8 +340,8 @@ class ClassEval:
         if C.op == "dual" and not value:
             witness = self.dual_witness(C.args[0], G)
             assert witness is not None
-            idx = self.lattice(G).members.index(witness)
-            Q = self.quotient_at(G, idx)
+            idx = normal_subgroups(G, self.caps).members.index(witness)
+            Q = lattice_quotient(G, idx, self.caps)
             trace = {
                 "witness_normal_order": witness.order(),
                 "witness_normal_gens": witness.gen_strings(),
@@ -491,9 +428,8 @@ def audit_property(C: ClassExpr, catalog: Catalog, which: str,
             elif which == "C1":
                 if not ev.member(C, G):
                     continue
-                lat = ev.lattice(G)
-                for idx, N in enumerate(lat.members):
-                    Q = ev.quotient_at(G, idx)
+                for idx, N in enumerate(normal_subgroups(G, ev.caps).members):
+                    Q = lattice_quotient(G, idx, ev.caps)
                     if not ev.member(C, Q):
                         counterexamples.append({
                             "group": entry.name,
@@ -501,11 +437,10 @@ def audit_property(C: ClassExpr, catalog: Catalog, which: str,
                             "quotient_order": Q.order(),
                         })
             elif which == "C2":
-                lat = ev.lattice(G)
-                for idx, N in enumerate(lat.members):
+                for idx, N in enumerate(normal_subgroups(G, ev.caps).members):
                     if not ev.member(C, N):
                         continue
-                    Q = ev.quotient_at(G, idx)
+                    Q = lattice_quotient(G, idx, ev.caps)
                     if ev.member(C, Q) and not ev.member(C, G):
                         counterexamples.append({
                             "group": entry.name,
@@ -513,20 +448,20 @@ def audit_property(C: ClassExpr, catalog: Catalog, which: str,
                             "quotient_order": Q.order(),
                         })
             else:
-                lat = ev.lattice(G)
+                lat = normal_subgroups(G, ev.caps)
                 in_c = [idx for idx in range(len(lat.members))
-                        if ev.member(C, ev.quotient_at(G, idx))]
+                        if ev.member(C, lattice_quotient(G, idx, ev.caps))]
                 for pos, i in enumerate(in_c):
                     for j in in_c[pos:]:
                         meet = lat.meet(i, j)
-                        if not ev.member(C, ev.quotient_at(G, meet)):
+                        if not ev.member(C, lattice_quotient(G, meet, ev.caps)):
                             counterexamples.append({
                                 "group": entry.name,
                                 "h1_order": lat.members[i].order(),
                                 "h2_order": lat.members[j].order(),
                                 "meet_order": lat.members[meet].order(),
                                 "meet_quotient_order":
-                                    ev.quotient_at(G, meet).order(),
+                                    lattice_quotient(G, meet, ev.caps).order(),
                             })
         except CapExceeded as exc:
             skipped.append({"group": entry.name, "reason": str(exc)})

@@ -14,8 +14,8 @@ import sys
 import time
 
 from . import _IMPORT_STARTED
-from .classes import ClassEval, audit_property, classify, parse_class_expr
-from .config import _ENV_FIELDS, DEFAULT_CAPS, Caps, caps_from_env
+from .classes import MAX_DUAL_DEPTH, ClassEval, audit_property, classify, parse_class_expr
+from .config import _ENV_FIELDS, Caps, caps_from_env
 from .errors import (
     CapExceeded,
     DegreeMismatch,
@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--k", type=int, default=2, metavar="K",
                    help="largest dual level to evaluate (default 2, at most "
-                        f"{DEFAULT_CAPS.dual_depth})")
+                        f"{MAX_DUAL_DEPTH})")
 
     p = sub.add_parser("realize", parents=[common],
                        help="build a normalizer-quotient certificate for a group")
@@ -301,9 +301,9 @@ def _cmd_dual_chain(args, caps: Caps):
     started = time.perf_counter()
     if args.k < 0:
         raise InvalidInput("--k must be nonnegative")
-    if args.k > caps.dual_depth:
+    if args.k > MAX_DUAL_DEPTH:
         raise CapExceeded(f"--k {args.k} exceeds configured dual-iteration depth "
-                          f"{caps.dual_depth}")
+                          f"{MAX_DUAL_DEPTH}")
     C = parse_class_expr(args.classexpr)
     G = parse_group_spec(args.spec)
     ev = ClassEval(caps)

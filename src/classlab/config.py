@@ -10,18 +10,16 @@ class Caps:
     """Limits guarding the exhaustive algorithms.
 
     enum_cap: largest group order for which full element enumeration is allowed.
-    iso_cap: largest order accepted by fingerprinting / isomorphism search.
+    iso_cap: largest order accepted by fingerprinting / isomorphism search,
+        which run only when two groups of one order must be compared.
     subgroup_limit: abort subgroup enumeration beyond this many subgroups.
     coord_cap: largest coordinate count N accepted by the wreath construction.
-    dual_depth: largest k accepted for iterated-dual membership; a fixed bound
-        with no flag or environment variable.
     """
 
     enum_cap: int = 250_000
     iso_cap: int = 20_000
     subgroup_limit: int = 5_000
     coord_cap: int = 24
-    dual_depth: int = 5
 
     def with_updates(self, **kwargs) -> "Caps":
         return replace(self, **kwargs)

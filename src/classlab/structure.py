@@ -3,9 +3,15 @@
 Conjugacy classes, the normal-subgroup lattice, maximal normal subgroups and
 their intersection (the radical), quotients by coset action, solvability-style
 predicates, isomorphism certificates, and exhaustive subgroup enumeration.
+
+Two caches live here and nowhere else: a group's lattice quotients G/N, kept
+on the group (`lattice_quotient`), and the isomorphism types of a session,
+kept by an `IsoTypes` registry, the one place that decides whether two groups
+are the same type.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from math import gcd
 from typing import Any, Callable, Iterable
@@ -392,6 +398,21 @@ def quotient(G: PermGroup, N: PermGroup) -> tuple[PermGroup, GroupHom]:
     return hom.image(), hom
 
 
+def lattice_quotient(G: PermGroup, idx: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
+    """G/N for member `idx` of G's normal lattice, cached on G.
+
+    Member 0 is the trivial subgroup, so index 0 is G itself, which is not
+    stored: G holding itself would keep it alive until a cycle collection.
+    """
+    if idx == 0:
+        return G
+    known = G._cache.setdefault("lattice_quotients", {})
+    Q = known.get(idx)
+    if Q is None:
+        Q = known[idx] = quotient(G, normal_subgroups(G, caps).members[idx])[0]
+    return Q
+
+
 # ---------------------------------------------------------------------------
 # Isomorphism
 
@@ -556,6 +577,62 @@ def isomorphic(G: PermGroup, H: PermGroup,
     table = leaf[1]
     return IsoCertificate(GroupHom(G, H, [table[g] for g in G.raw_gens()],
                                    kernel=trivial_group(G.degree)))
+
+
+class IsoTypes:
+    """The isomorphism types of the groups it is shown: `id_of(G)` is the id
+    of G's type, and `reps[i]` the first group seen of type i.
+
+    G is compared only with the representatives of its own order, by three
+    routes in turn:
+
+    - G, or a group with G's degree and generator tuple, was seen before: it
+      takes that id with no work;
+    - a representative equal to G as a subgroup of Sym(n) is isomorphic to
+      it through the identity map, so no search runs;
+    - a representative with G's fingerprint is confirmed by a certified
+      `isomorphic` before the id is shared, so a fingerprint collision never
+      joins two types.
+
+    A group whose order no representative has is a new type with no
+    fingerprint, so the iso cap binds only when two groups of one order must
+    be compared.  Groups are keyed weakly: of the groups, only the
+    representatives outlive their callers, while the (degree, generator
+    tuple) of every group seen is kept.
+    """
+
+    def __init__(self, caps: Caps = DEFAULT_CAPS):
+        self.caps = caps
+        self.reps: list[PermGroup] = []
+        # order ↦ the ids whose representative has it
+        self._of_order: dict[int, list[int]] = {}
+        # (degree, generator tuple) of every group seen ↦ its id
+        self._of_gens: dict[tuple, int] = {}
+        self._ids: weakref.WeakKeyDictionary[PermGroup, int] = weakref.WeakKeyDictionary()
+
+    def id_of(self, G: PermGroup) -> int:
+        gid = self._ids.get(G)
+        if gid is None:
+            key = (G.degree, tuple(G.raw_gens()))
+            gid = self._of_gens.get(key)
+            if gid is None:
+                gid = self._of_gens[key] = self._match(G)
+            self._ids[G] = gid
+        return gid
+
+    def _match(self, G: PermGroup) -> int:
+        same_order = self._of_order.setdefault(G.order(), [])
+        for gid in same_order:
+            if self.reps[gid].same_group(G):
+                return gid
+        for gid in same_order:
+            R = self.reps[gid]
+            if (fingerprint(R, self.caps) == fingerprint(G, self.caps)
+                    and isomorphic(R, G, self.caps) is not None):
+                return gid
+        same_order.append(len(self.reps))
+        self.reps.append(G)
+        return same_order[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -811,11 +888,9 @@ def radical_factorization(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> RadicalFac
 
     n = G.order()
     product = 1
-    quotients = []
     family = [lat.members[i] for i in picked]
+    quotients = [lattice_quotient(G, i, caps) for i in picked]
     for H in family:
-        Q, _ = quotient(G, H)
-        quotients.append(Q)
         product *= n // H.order()
     if product != n // radical.order():
         raise FalsificationAlarm(
@@ -832,14 +907,11 @@ def radical_factorization(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> RadicalFac
 
 def simple_quotients(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> list[PermGroup]:
     """Iso-type representatives of G/H over maximal normal H."""
-    if G.order() == 1:
-        return []
-    reps: list[PermGroup] = []
-    for H in normal_subgroups(G, caps).maximal_members():
-        Q, _ = quotient(G, H)
-        if not any(isomorphic(Q, R, caps) is not None for R in reps):
-            reps.append(Q)
-    return reps
+    types = IsoTypes(caps)
+    for idx, flag in enumerate(normal_subgroups(G, caps).maximal):
+        if flag:
+            types.id_of(lattice_quotient(G, idx, caps))
+    return types.reps
 
 
 def has_prime_order_quotient(G: PermGroup) -> bool:

@@ -56,7 +56,9 @@ from .structure import (
     is_simple,
     is_solvable,
     isomorphic,
+    lattice_quotient,
     normal_in,
+    normal_subgroups,
     quotient,
     radical_factorization,
     simple_quotients,
@@ -277,7 +279,7 @@ def _chk_structure_lattice_brute(ctx: SuiteContext):
     for name, G in ctx.members():
         if G.order() > 200:
             continue
-        lat_sets = {H.element_set(ctx.caps) for H in ctx.ev.lattice(G).members}
+        lat_sets = {H.element_set(ctx.caps) for H in normal_subgroups(G, ctx.caps).members}
         brute = {S.element_set(ctx.caps)
                  for S in subgroups(G, caps=ctx.caps) if normal_in(G, S)}
         if lat_sets != brute:
@@ -339,20 +341,18 @@ def _chk_structure_simple_quotient_lemma(ctx: SuiteContext):
         sq = simple_quotients(G, ctx.caps)
         if not sq:
             continue
-        lat = ctx.ev.lattice(G)
-        for idx, N in enumerate(lat.members):
+        for idx, N in enumerate(normal_subgroups(G, ctx.caps).members):
             if N.order() == G.order():
                 continue
-            over = simple_quotients(ctx.ev.quotient_at(G, idx), ctx.caps)
+            over = simple_quotients(lattice_quotient(G, idx, ctx.caps), ctx.caps)
             for S in sq:
                 if any(_iso(S, T, ctx.caps) for T in over):
                     continue
-                lat_n = ctx.ev.lattice(N)
                 found = False
-                for jdx, M in enumerate(lat_n.members):
+                for jdx, M in enumerate(normal_subgroups(N, ctx.caps).members):
                     if N.order() != M.order() * S.order():
                         continue
-                    if _iso(S, ctx.ev.quotient_at(N, jdx), ctx.caps):
+                    if _iso(S, lattice_quotient(N, jdx, ctx.caps), ctx.caps):
                         found = True
                         break
                 if not found:
@@ -368,7 +368,7 @@ def _chk_structure_disjoint_normal_covers(ctx: SuiteContext):
     bad = []
     for name, G in ctx.members():
         n = G.order()
-        lat = ctx.ev.lattice(G)
+        lat = normal_subgroups(G, ctx.caps)
         orders = [m.order() for m in lat.members]
         trivial_idx = orders.index(1)
         for i in range(len(orders)):
@@ -382,7 +382,7 @@ def _chk_structure_disjoint_normal_covers(ctx: SuiteContext):
                     kv = orders[k] * orders[j] // orders[lat.meet(k, j)]
                     if kv != n:
                         continue
-                    if not is_abelian(ctx.ev.quotient_at(G, k)):
+                    if not is_abelian(lattice_quotient(G, k, ctx.caps)):
                         bad.append({"group": name, "k_order": orders[k],
                                     "u_order": orders[i], "v_order": orders[j]})
     return {"counterexamples": bad} if bad else None
@@ -896,7 +896,7 @@ def _chk_split_extensions(ctx: SuiteContext):
     for name, G in ctx.members():
         if G.order() % 6:
             continue
-        for m in ctx.ev.lattice(G).members:
+        for m in normal_subgroups(G, ctx.caps).members:
             if m.order() != 6 or center(m, ctx.caps).order() != 1:
                 continue
             if isomorphic(m, s3, ctx.caps) is None:

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from .config import DEFAULT_CAPS, Caps
 from .errors import CapExceeded, InvalidInput, ParseError
 from .perm import PermGroup, Permutation, generate, trivial_group
-from .structure import fingerprint, is_abelian, is_cyclic, isomorphic, subgroup_classes, subgroups
+from .structure import (IsoTypes, fingerprint, is_abelian, is_cyclic, isomorphic,
+                        subgroup_classes, subgroups)
 
 FORMAT_VERSION = "classlab-universe v1"
 
@@ -228,29 +229,20 @@ def build_universe(sym_degree: int = DEFAULT_SYM_DEGREE,
     if extras is None:
         extras = default_extras(sym_degree)
 
-    reps: list[PermGroup] = []
-
-    def register(G: PermGroup) -> bool:
-        fp = fingerprint(G, caps)
-        for R in reps:
-            if fingerprint(R, caps) == fp and isomorphic(R, G, caps) is not None:
-                return False
-        reps.append(G)
-        return True
-
-    # A conjugate is isomorphic to the first member of its class, which was
-    # registered or matched a representative, so it would not register.
+    # A conjugate is isomorphic to the first member of its class, which is a
+    # representative or matched one, so it would add no type.
+    types = IsoTypes(caps)
     Sd = symmetric(sym_degree)
     subs = subgroups(Sd, caps=caps)
     first = subgroup_classes(Sd, caps)
     for pos, S in enumerate(subs):
         if first[pos] == pos:
-            register(S)
+            types.id_of(S)
     for spec in extras:
-        register(parse_group_spec(spec))
+        types.id_of(parse_group_spec(spec))
 
     decorated = sorted(
-        ((G.order(), fingerprint(G, caps), ";".join(G.gen_strings()), G) for G in reps),
+        ((G.order(), fingerprint(G, caps), ";".join(G.gen_strings()), G) for G in types.reps),
         key=lambda t: t[:3])
     entries: list[CatalogEntry] = []
     unnamed_rank: dict[int, int] = {}

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from classlab import classes, suite
+from classlab import classes, structure, suite
 from classlab.classes import (
     AuditReport,
     ClassEval,
@@ -81,6 +81,19 @@ def test_parse_and_render(text, expected):
     assert (expr.op, expr.args) == (expected.op, expected.args)
     assert expr.text() == text
     assert parse_class_expr(expr.text()) == expr
+
+
+@pytest.mark.parametrize("text,canonical", [
+    ("set(Q8,C4)", "set(C4,Q8)"),
+    ("set(C4,C4)", "set(C4)"),
+    ("set(s3,C4,q8,C4)", "set(C4,Q8,S3)"),
+    ("pi(3,2,3)", "pi(2,3)"),
+])
+def test_sets_are_sorted_and_deduplicated(text, canonical):
+    expr = parse_class_expr(text)
+    assert expr.text() == canonical
+    assert expr == parse_class_expr(canonical)
+    assert hash(expr) == hash(parse_class_expr(canonical))
 
 
 def test_parse_fnr_is_dual_solvable():
@@ -198,21 +211,24 @@ CLASS_TEXTS = st.recursive(_LEAVES, lambda sub: st.one_of(
 ), max_leaves=6)
 
 
-def _reshuffle_pi(text, rnd):
-    """The same expression with each `pi`'s primes shuffled and one repeated."""
+def _reshuffle_sets(text, rnd):
+    """The same expression with the arguments of each `pi` and `set`
+    shuffled and one of them repeated."""
     def shuffled(m):
-        primes = m.group(1).split(",")
-        rnd.shuffle(primes)
-        return "pi({})".format(",".join(primes + [rnd.choice(primes)]))
-    return re.sub(r"pi\(([\d,]+)\)", shuffled, text)
+        items = m.group(2).split(",")
+        rnd.shuffle(items)
+        return "{}({})".format(m.group(1), ",".join(items + [rnd.choice(items)]))
+    return re.sub(r"\b(pi|set)\(((?:[^()]|\([^()]*\))*)\)", shuffled, text)
 
 
 @given(CLASS_TEXTS, CLASS_TEXTS, st.randoms(use_true_random=False))
 @example("union(pi(3,2),abelian)", "union(pi(2,3),abelian)", random.Random(0))
+@example("set(Q8,C4)", "set(C4,Q8)", random.Random(0))
+@example("dual(set(C4,C4))", "dual(set(C4))", random.Random(0))
 @settings(max_examples=200, deadline=None)
 def test_expressions_are_equal_exactly_when_their_texts_are(t1, t2, rnd):
     e1, e2 = parse_class_expr(t1), parse_class_expr(t2)
-    same = parse_class_expr(_reshuffle_pi(t1, rnd))
+    same = parse_class_expr(_reshuffle_sets(t1, rnd))
     for e in (e1, e2, same):
         assert parse_class_expr(e.text()) == e
     assert same.text() == e1.text()
@@ -402,8 +418,6 @@ def test_dual_chain_depth_cap(ev):
     with pytest.raises(CapExceeded, match=r"^dual-iteration depth 6 exceeds configured "
                                           r"depth 5$"):
         ev.dual_chain_member(parse_class_expr("solvable"), cyclic(2), 6)
-    deep = ClassEval(Caps(dual_depth=8))
-    assert deep.dual_chain_member(parse_class_expr("trivial"), cyclic(2), 6) in (True, False)
 
 
 def test_double_dual_equals_quadruple_dual(ev):
@@ -698,28 +712,40 @@ def test_degree_dependent_verdict_separates_fresh_and_shared_evaluators(monkeypa
     assert [shared.member(parse_class_expr("nilpotent"), X) for X in copies] == [True, True]
 
 
+def test_the_evaluator_keeps_verdicts_and_the_structure_layer_keeps_groups():
+    # iso types are decided by `structure.IsoTypes`, and lattice quotients
+    # are cached on their groups by `structure.lattice_quotient`
+    assert not any(hasattr(classes, name) for name in ("isomorphic", "fingerprint", "weakref"))
+    assert not any(hasattr(ClassEval, name) for name in ("lattice", "quotient_at"))
+    assert set(vars(ClassEval())) == {"caps", "types", "_memo", "_finite_sets"}
+
+
 @pytest.fixture()
 def work(monkeypatch):
     """The arguments of every isomorphism search, fingerprint and lattice
-    the evaluator asks for."""
+    the evaluator asks for, where the registry and the evaluator look them
+    up: the lattice in both modules, the other two in `structure`."""
     calls = {"isomorphic": [], "fingerprint": [], "normal_subgroups": []}
-    for name, log in calls.items():
-        real = getattr(classes, name)
-
-        def counted(*args, _real=real, _log=log):
+    for module, name in ((structure, "isomorphic"), (structure, "fingerprint"),
+                         (structure, "normal_subgroups"), (classes, "normal_subgroups")):
+        def counted(*args, _real=getattr(module, name), _log=calls[name]):
             _log.append(args)
             return _real(*args)
 
-        monkeypatch.setattr(classes, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
 def test_equal_subgroups_join_their_type_without_a_search(work):
     ev = ClassEval()
-    first = parse_group_spec("S5")
     fnr = parse_class_expr("dual(solvable)")
+    # SL(2,5) is a second type of order 120, so the first S5 is told from it
+    # by fingerprint.
+    assert ev.member(fnr, special_linear(5))
+    first = parse_group_spec("S5")
     assert not ev.member(fnr, first)
-    assert len(work["fingerprint"]) > 0
+    assert any(args[0] is first for args in work["fingerprint"])
+    assert work["isomorphic"] == []
     for log in work.values():
         log.clear()
     # a fresh parse has the same generators; S5 on other generators is the
@@ -737,13 +763,19 @@ def test_conjugated_copy_is_searched_once_and_evaluated_on_the_representative(wo
     rep = dihedral(8)
     dual_abelian, hat_cyclic = parse_class_expr("dual(abelian)"), parse_class_expr("hat(cyclic)")
     assert not ev.member(dual_abelian, rep)
+    # D8 and each of its quotients is alone in its order or equal to a
+    # group seen before, so nothing is fingerprinted yet
+    assert work["fingerprint"] == [] and "fingerprint" not in rep._cache
     for log in work.values():
         log.clear()
     # conjugating by (2 3) moves D8 to another of the three D8s in S4
     copy = _conjugate(rep, (0, 2, 1, 3))
     assert not copy.same_group(rep)
     assert not ev.member(dual_abelian, copy)
-    assert len(work["isomorphic"]) == 1 and len(work["fingerprint"]) == 1
+    # one search, and the representative is fingerprinted only now that a
+    # second group of its order arrives
+    assert len(work["isomorphic"]) == 1
+    assert {id(args[0]) for args in work["fingerprint"]} == {id(rep), id(copy)}
     # new expressions search only among the representative's quotients
     assert ev.member(hat_cyclic, copy)
     assert not ev.member(parse_class_expr("dual(cyclic)"), copy)

@@ -115,6 +115,13 @@ class TestClassCommand:
         assert code == 2 and out == ""
         assert err == f"error: class expression nests deeper than {MAX_NESTING} parentheses\n"
 
+    def test_order_past_the_iso_cap_answers_when_alone_in_its_order(self, capsys):
+        # A8 has order 20160, past the default iso cap of 20000, but no group
+        # of that order must be compared with it.
+        code, out, err = run_cli(capsys, "class", "abelian", "A8")
+        assert code == 0 and err == ""
+        assert out == "A8 in abelian: no\n"
+
     def test_trivial_membership(self, capsys):
         code, out, _ = run_cli(capsys, "class", "trivial", "C1")
         assert code == 0

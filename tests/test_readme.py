@@ -16,9 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from classlab.classes import MAX_NESTING
+from classlab.classes import MAX_DUAL_DEPTH, MAX_NESTING
 from classlab.cli import _common_parser, main
-from classlab.config import _ENV_FIELDS, Caps
+from classlab.config import _CAP_ROWS, _ENV_FIELDS, Caps
 from classlab.structure import COMPLEMENT_SPACE_BOUND
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -82,6 +82,9 @@ def test_cap_table_matches_the_program():
     rows = re.findall(r"^\| [^|]+ \| (\d+) \| `(--[a-z-]+)` \| `(CLASSLAB_[A-Z_]+)` \|$",
                       README, flags=re.M)
     cap_fields = {f.name for f in dataclasses.fields(Caps)}
+    # every cap can be raised by a flag and a variable: a field with no row
+    # would be a setting that only library code reaches
+    assert sorted(field for field, _, _ in _CAP_ROWS) == sorted(cap_fields)
     flags = {a.option_strings[0]: a.dest for a in _common_parser()._actions
              if a.dest in cap_fields}
     assert sorted(var for _, _, var in rows) == sorted(_ENV_FIELDS)
@@ -93,6 +96,8 @@ def test_cap_table_matches_the_program():
 
 def test_fixed_bounds_match_the_program():
     text = " ".join(README.split())
+    assert f"`dual-chain --k` take k at most {MAX_DUAL_DEPTH}" in text
+    assert f"exceeds configured dual-iteration depth {MAX_DUAL_DEPTH}`" in text
     assert f"nests at most {MAX_NESTING} parentheses deep" in text
     assert f"more than {MAX_NESTING} parentheses deep is a parse error" in text
     assert f"at most {COMPLEMENT_SPACE_BOUND} candidate lifts" in text

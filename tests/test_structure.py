@@ -17,6 +17,7 @@ from classlab.errors import CapExceeded, FalsificationAlarm, InvalidInput, Subgr
 from classlab.perm import GroupHom, Permutation, coset_action, generate, regular_representation
 from classlab.structure import (
     IsoCertificate,
+    IsoTypes,
     NormalLattice,
     baer_radical,
     center,
@@ -33,6 +34,7 @@ from classlab.structure import (
     is_simple,
     is_solvable,
     isomorphic,
+    lattice_quotient,
     lower_central_series,
     normal_closure,
     normal_in,
@@ -428,6 +430,20 @@ class TestQuotient:
         assert oracles.naive_is_homomorphism(
             {x: proj.apply_raw(x) for x in proj.source.raw_elements()})
 
+    def test_lattice_quotient_is_built_once_and_cached_on_the_group(self, monkeypatch):
+        G = S4()
+        members = normal_subgroups(G).members
+        calls = []
+        real = structure.quotient
+        monkeypatch.setattr(structure, "quotient", lambda *args: calls.append(args) or real(*args))
+        first = [lattice_quotient(G, idx) for idx in range(len(members))]
+        again = [lattice_quotient(G, idx) for idx in range(len(members))]
+        assert [Q.order() for Q in first] == [24, 6, 2, 1]
+        assert all(a is b for a, b in zip(first, again))
+        # G/1 is G itself, neither built nor stored
+        assert first[0] is G and 0 not in G._cache["lattice_quotients"]
+        assert [N for _, N in calls] == members[1:]
+
 
 class TestIsomorphism:
     def test_c4_not_isomorphic_to_v4(self):
@@ -585,6 +601,83 @@ class TestIsomorphism:
         assert other._chain is None
 
 
+def _conjugate(G, pi):
+    """πGπ⁻¹ in Sym(n), on generators of its own."""
+    return generate([oracles.compose(pi, oracles.compose(g, oracles.inverse(pi)))
+                     for g in G.raw_gens()], G.degree)
+
+
+def _times_c2(G):
+    """G × C2, with C2 on two points of its own."""
+    n = G.degree
+    return generate([g + (n, n + 1) for g in G.raw_gens()]
+                    + [tuple(range(n)) + (n + 1, n)], n + 2)
+
+
+# Small groups whose orders collide: C4 and V4; S3 and C6; C8, D8 and Q8
+# (and C4 × C2, D8 × C2 ... through `_times_c2`).
+ISO_BASES = ["C2", "C4", "V4", "S3", "perm5[(1 2)(3 4 5)]", "C8", "D8", "Q8"]
+
+
+@st.composite
+def iso_family(draw):
+    """Two to four distinct groups of `ISO_BASES`, perhaps a random group of
+    degree at most 4, and copies and products of them: a conjugate in
+    Sym(n), the left-regular image, the direct product with C2, and a
+    conjugate of that product."""
+    random_group = st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.permutations(list(range(n))).map(tuple), min_size=1,
+                           max_size=2)).map(lambda gens: generate(gens, len(gens[0])))
+    named = draw(st.lists(st.sampled_from(ISO_BASES), min_size=2, max_size=4, unique=True))
+    bases = [parse_group_spec(spec) for spec in named]
+    bases += draw(st.lists(random_group, max_size=1))
+    groups = list(bases)
+    for _ in range(draw(st.integers(2, 4))):
+        G = draw(st.sampled_from(bases))
+        how = draw(st.sampled_from(["conjugate", "regular", "times_c2"]))
+        if how == "regular":
+            groups.append(regular_representation(G).image())
+            continue
+        if how == "times_c2":
+            G = _times_c2(G)
+        pi = draw(st.permutations(list(range(G.degree))).map(tuple), label="pi")
+        groups.append(_conjugate(G, pi))
+    return groups
+
+
+class TestIsoTypes:
+    @given(iso_family())
+    @settings(max_examples=25, deadline=None)
+    def test_one_type_exactly_when_the_naive_oracle_finds_an_isomorphism(self, groups):
+        types = IsoTypes()
+        ids = [types.id_of(G) for G in groups]
+        for i, G in enumerate(groups):
+            for j in range(i + 1, len(groups)):
+                H = groups[j]
+                iso = oracles.naive_isomorphic(G.element_set(), H.element_set(),
+                                               G.degree, H.degree)
+                assert (ids[i] == ids[j]) == (iso is not None)
+        assert [types.id_of(G) for G in groups] == ids
+        assert [types.id_of(R) for R in types.reps] == list(range(len(types.reps)))
+
+    def test_iso_cap_binds_only_between_groups_of_one_order(self):
+        types = IsoTypes(Caps(iso_cap=50))
+        s5, a5 = parse_group_spec("S5"), parse_group_spec("A5")
+        # each alone in its order, so neither is fingerprinted
+        assert [types.id_of(s5), types.id_of(a5)] == [0, 1]
+        assert "fingerprint" not in s5._cache
+        # equal to a representative as a subgroup of Sym(5): no search
+        assert types.id_of(generate(["(1 2 3 4 5)", "(1 2)", "(1 3)"], 5)) == 0
+        with pytest.raises(CapExceeded, match="order 120 exceeds iso cap 50"):
+            types.id_of(parse_group_spec("SL25"))
+
+
+def _one_registry(*groups):
+    types = IsoTypes()
+    for G in groups:
+        types.id_of(G)
+
+
 class TestNoReferenceCycles:
     """A group dies with its last strong reference, without the cycle collector."""
 
@@ -596,6 +689,9 @@ class TestNoReferenceCycles:
                      parse_group_spec("perm10[(1 2 3 4)(5 6 7 8);(1 5 3 7)(2 8 4 6);(9 10)]")),
             isomorphic),
         "normal_subgroups": (lambda: (S4(),), normal_subgroups),
+        "lattice_quotient": (lambda: (S4(),),
+                             lambda G: [lattice_quotient(G, idx) for idx in range(4)]),
+        "IsoTypes": (lambda: (S4(), regular_representation(S4()).image()), _one_registry),
         "complement_exists": (lambda: (S4(), V4()), complement_exists),
     }
 
