@@ -4,10 +4,15 @@ Given a target group G, build Γ = G0^N ⋊ Gn (N the index of an embedded copy
 of G in Gn) together with H = H0 × G0^{N−1}, where H0 is a maximal
 self-normalizing subgroup of the simple non-abelian G0: the stabilizer of
 the least point G0 moves, grown to the stabilizer of a block of G0's action
-on its cosets until that action is primitive.  The normalizer N_Γ(H) is
-computed structurally as (H0 × G0^{N−1}) ⋊ G and, within caps,
-confirmed by brute force, one test per left coset of H in Γ; the certificate
-carries a verified isomorphism N_Γ(H)/H ≅ G.  The module also hosts the
+on its cosets until that action is primitive.  H0 is found once per base
+group and caps, and `realize`'s default A5 is built once per process.  The
+normalizer N_Γ(H) is computed structurally as M = H ⋊ L, L the lifts of the
+embedded copy of G, and, within caps, confirmed by brute force, one test per
+left coset of H in Γ.  The isomorphism M/H ≅ G is certified from the lift
+itself, not searched for: the lift map ψ: G → M is checked to be a
+homomorphism that acts on Gn's points as the embedding of G, which is
+injective; as H fixes those points, ψ is injective and L meets H trivially.
+The module also hosts the
 supporting demonstrators: exhaustive realization search in a fixed ambient
 group, split-extension checks over a centerless normal subgroup,
 twisted-diagonal subgroups of direct powers, and the factor-permutation
@@ -38,6 +43,7 @@ from .perm import (
     identity_hom,
     point_stabilizer,
     regular_representation,
+    trivial_group,
     wreath_by_cosets,
 )
 from .structure import (
@@ -149,7 +155,18 @@ def maximal_selfnormalizing(G0: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGro
     grows to that subgroup; every step keeps H0 proper and makes it larger,
     and the walk ends at a maximal subgroup.  Self-normalization is confirmed
     by `brute_normalizer`, one test per coset.
+
+    H0 is cached on G0 under `caps`, so the walk runs once per base group,
+    and a call under other caps walks again and meets their limits.
     """
+    known = G0._cache.setdefault("maximal_selfnormalizing", {})
+    H0 = known.get(caps)
+    if H0 is None:
+        H0 = known[caps] = _maximal_selfnormalizing(G0, caps)
+    return H0
+
+
+def _maximal_selfnormalizing(G0: PermGroup, caps: Caps) -> PermGroup:
     if is_abelian(G0):
         raise InvalidInput("a simple non-abelian group is required (input is abelian)")
     if not is_simple(G0, caps):
@@ -221,11 +238,23 @@ def build_realization(G: PermGroup, G0: PermGroup, Gn: PermGroup,
                       brute_check: bool = True) -> RealizationCertificate:
     """Construct Γ = G0^N ⋊ Gn and certify N_Γ(H)/H ≅ G for H = H0 × G0^{N−1}.
 
-    The normalizer is assembled structurally from H and the canonical lifts of
-    the embedded copy of G; with brute_check on, `brute_normalizer`,
-    exhaustive over Γ by testing one element of each left coset of H, must
-    reproduce it exactly, and raises CapExceeded when |Γ| exceeds the
-    enumeration cap.
+    The normalizer is assembled structurally as M = H ⋊ L from H and the
+    canonical lifts L = ψ(G), ψ: g ↦ top_lift(embed(g)); with brute_check on,
+    `brute_normalizer`, exhaustive over Γ by testing one element of each left
+    coset of H, must reproduce it exactly, and raises CapExceeded when |Γ|
+    exceeds the enumeration cap.
+
+    `iso_verified` is certified from the lift, with no isomorphism search:
+    the lifts normalize H (`structural_normalizer`), one chain of ψ's graph
+    shows that ψ is multiplicative, and each lift acts on Gn's points as the
+    embedded generator.  So the restriction to those points composed with ψ
+    is embed, which is injective; as H fixes Gn's points, ψ is injective and
+    L meets H trivially, so M/H ≅ L ≅ G.  The certificate's source Q is G
+    acting on its cosets of the trivial subgroup, which is M acting on the
+    cosets of H, read through ψ; its forward map sends Q's i-th generator to
+    G's i-th generator.  No search runs, so no iso cap applies; Q has |G|
+    points, so |G| must not exceed the enumeration cap, and Q's own chain is
+    not built.
     """
     checks: dict = {}
 
@@ -260,26 +289,35 @@ def build_realization(G: PermGroup, G0: PermGroup, Gn: PermGroup,
 
     H = block_product(Gamma.degree, [(0, H0)] + [(i, G0) for i in range(1, N)])
 
-    # M = H ⋊ lift(image), its chain by construction; |M| = |H|·|G| then holds
-    # as soon as the lifts normalize H, which quotient tests before it reads
-    # |M|.  Its normality test sifts each conjugate h^m; only an alarm sifts
-    # them again, to name the pair that fails.
-    lift_gens = [wp.top_lift(embed.apply(g)) for g in G.generators]
-    M = PermGroup(Gamma.degree, list(H.generators) + lift_gens,
+    # M = H ⋊ L, L = ψ(G) for the lift map ψ: g ↦ top_lift(embed(g)), its
+    # chain by construction; |M| = |H|·|G| then holds as soon as the lifts
+    # normalize H, which is tested first: one conjugate h^m per lift m and
+    # generator h of H.
+    embedded = [embed.apply(g) for g in G.generators]
+    lifts = [wp.top_lift(t).images for t in embedded]
+    M = PermGroup(Gamma.degree, H.raw_gens() + lifts,
                   chain=StabChain.from_split(Gamma.degree, image.chain(),
                                              lambda raw: wp.top_lift(raw).images, H.chain()))
-    try:
-        Q, _ = quotient(M, H)
-    except InvalidInput:
-        bad = next(((m, h) for m in M.raw_gens() for h in H.raw_gens()
-                    if not H.contains_raw(_conjugate(m, h))), None)
-        if bad is None:
-            raise
+    bad = next(((m, h) for m in lifts for h in H.raw_gens()
+                if not H.contains_raw(_conjugate(m, h))), None)
+    if bad is not None:
         raise FalsificationAlarm(
             "structural normalizer does not normalize H",
             witness={"m": str(Permutation(bad[0])),
-                     "h": str(Permutation(bad[1]))}) from None
+                     "h": str(Permutation(bad[1]))})
     checks["structural_normalizer"] = "passed"
+
+    # ψ is a homomorphism, and top ∘ ψ = embed on the generators, so on all
+    # of G; embed is injective, so L meets ker(top) ⊇ H trivially.
+    psi = GroupHom(G, Gamma, lifts)
+    for failed, holds in (
+            ("lift map is not multiplicative", psi.is_multiplicative),
+            ("lift does not act on the top points as the embedding",
+             lambda: all(wp.top.apply_raw(m) == t.images for m, t in zip(lifts, embedded)))):
+        if not holds():
+            raise FalsificationAlarm(
+                "lift of the target is not an embedding",
+                witness={"failed": failed, "target_order": G.order()})
 
     if brute_check:
         brute = brute_normalizer(Gamma, H, caps)
@@ -295,12 +333,11 @@ def build_realization(G: PermGroup, G0: PermGroup, Gn: PermGroup,
 
     _check_top_quotient(wp, checks)
 
-    iso = isomorphic(Q, G, caps)
-    if iso is None:
-        raise FalsificationAlarm(
-            "normalizer quotient is not isomorphic to the target",
-            witness={"quotient_order": Q.order(), "target_order": G.order(),
-                     "quotient_gens": Q.gen_strings()})
+    # Q is G's regular action, on |G| points.
+    if G.order() > caps.enum_cap:
+        raise CapExceeded(cap_message(caps, "enum_cap", "order", G.order()))
+    Q = coset_action(G, trivial_group(G.degree)).image()
+    iso = IsoCertificate(GroupHom(Q, G, G.generators))
     checks["iso_verified"] = "passed"
 
     return RealizationCertificate(
@@ -327,6 +364,9 @@ def _check_top_quotient(wp, checks: dict) -> None:
     checks["top_quotient"] = "passed"
 
 
+_DEFAULT_G0 = alternating(5)
+
+
 def realize(G: PermGroup, alt: int | None = None, caps: Caps = DEFAULT_CAPS,
             brute_check: bool = True,
             G0: PermGroup | None = None,
@@ -334,8 +374,9 @@ def realize(G: PermGroup, alt: int | None = None, caps: Caps = DEFAULT_CAPS,
     """Convenience driver: G0 = A5, top group = G itself (identity embedding),
     with ``alt=n`` the alternating group A_n and a regular embedding (doubled
     to even permutations when needed), or with ``top=H`` an ambient group that
-    is scanned for a subgroup isomorphic to G."""
-    base = G0 if G0 is not None else alternating(5)
+    is scanned for a subgroup isomorphic to G.  The default A5 is one group
+    for the whole process, so its chain and H0 are computed once."""
+    base = G0 if G0 is not None else _DEFAULT_G0
     if alt is not None and top is not None:
         raise InvalidInput("alt and top are mutually exclusive")
     if top is not None:

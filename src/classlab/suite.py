@@ -819,7 +819,8 @@ def _chk_classes_fnr_characterizations(ctx: SuiteContext):
 @_register("realization-certificates")
 def _chk_realization_certificates(ctx: SuiteContext):
     """Fully brute-checked certificates for every small catalog member and for
-    C2 inside an ambient C4: all verifications pass and |N(H)|/|H| = |G|."""
+    C2 inside an ambient C4: all verifications pass, |N(H)|/|H| = |G|, and
+    the isomorphism's source is N(H) acting on the cosets of H."""
     bad = []
     for name, cert in ctx.small_realizations():
         for key in ("embedding_multiplicative", "order_arithmetic",
@@ -833,7 +834,9 @@ def _chk_realization_certificates(ctx: SuiteContext):
                         "normalizer_order": cert.normalizer.order(),
                         "h_order": cert.h.order(),
                         "target_order": cert.target.order()})
-        if cert.iso is None or not cert.iso.verify():
+        if (cert.iso is None or not cert.iso.verify()
+                or cert.iso.source.generators
+                != coset_action(cert.normalizer, cert.h).image().generators):
             bad.append({"target": name, "problem": "quotient isomorphism failed"})
     return {"violations": bad} if bad else None
 

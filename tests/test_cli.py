@@ -225,6 +225,27 @@ class TestRealizeCommand:
         assert stored == json.loads(out)
         assert stored["results"]["n_coords"] == 1
 
+    def test_large_target_needs_no_iso_cap(self, capsys):
+        # |S8| = 40320 is over the default iso cap; the certificate comes
+        # from the lift, so no isomorphism search runs.
+        code, out, _ = run_cli(capsys, "realize", "perm8[(1 2 3 4 5 6 7 8);(1 2)]",
+                               "--no-brute-check")
+        assert code == 0
+        assert "iso_verified=pass" in out
+
+    def test_target_over_the_enum_cap_exits_3(self, capsys):
+        # The certificate's source is the target's regular action.
+        code, _, err = run_cli(capsys, "realize", "S9", "--no-brute-check")
+        assert code == 3
+        assert err == ("cap exceeded: order 362880 exceeds enumeration cap 250000; "
+                       "raise it with --enum-cap or CLASSLAB_ENUM_CAP\n")
+
+    def test_brute_check_over_the_enum_cap_exits_3(self, capsys):
+        code, _, err = run_cli(capsys, "realize", "S7")
+        assert code == 3
+        assert err == ("cap exceeded: order 302400 exceeds enumeration cap 250000; "
+                       "raise it with --enum-cap or CLASSLAB_ENUM_CAP\n")
+
     def test_impossible_embedding_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "realize", "C5", "--top", "S4")
         assert code == 2

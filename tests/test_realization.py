@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from classlab import perm, realization, structure
-from classlab.config import Caps
+from classlab.config import Caps, cap_message
 from classlab.errors import CapExceeded, FalsificationAlarm, InvalidInput
 from classlab.perm import (
     GroupHom,
@@ -40,7 +40,7 @@ from classlab.realization import (
     split_check,
 )
 from classlab.structure import is_simple, isomorphic
-from classlab.universe import alternating, cyclic, quaternion, symmetric
+from classlab.universe import alternating, cyclic, parse_group_spec, quaternion, symmetric
 
 import oracles
 
@@ -265,6 +265,75 @@ def test_build_alarms_when_structural_normalizer_does_not_normalize(monkeypatch)
     assert info.value.witness["m"] == "(1 2 3)"
 
 
+def test_build_alarms_when_one_lift_generator_does_not_normalize(monkeypatch):
+    # S3 has two generators; only the lift of the transposition is replaced,
+    # by (1 2 3) in the base, which moves the point H0 fixes.
+    top_lift = WreathProduct.top_lift
+    bad = Permutation.from_cycles("(1 2 3)", 8)
+    monkeypatch.setattr(WreathProduct, "top_lift",
+                        lambda self, h: bad if str(h) == "(1 2)" else top_lift(self, h))
+    S3 = symmetric(3)
+    with pytest.raises(FalsificationAlarm, match="does not normalize H") as info:
+        build_realization(S3, alternating(5), S3, identity_hom(S3))
+    assert info.value.witness["m"] == "(1 2 3)"
+
+
+def test_lift_check_alarms_on_a_lift_map_that_is_not_multiplicative(monkeypatch):
+    # Every nontrivial lift of C2's generator is multiplied by (2 3 4), which
+    # lies in H0 (the stabilizer of point 1) and commutes with the lift: the
+    # lifts still normalize H, but the involution's image has order 6.
+    top_lift = WreathProduct.top_lift
+    twist = Permutation.from_cycles("(2 3 4)", 7)
+
+    def corrupted(self, h):
+        lift = top_lift(self, h)
+        return lift if lift.is_identity() else lift * twist
+
+    monkeypatch.setattr(WreathProduct, "top_lift", corrupted)
+    C2 = cyclic(2)
+    with pytest.raises(FalsificationAlarm, match="lift of the target is not an embedding") as info:
+        build_realization(C2, alternating(5), C2, identity_hom(C2))
+    assert info.value.witness["failed"] == "lift map is not multiplicative"
+
+
+def test_lift_check_alarms_on_a_dropped_lift_generator(monkeypatch):
+    # The lift of V4's second generator is the identity, so M has only one
+    # lift generator: the map is still a homomorphism, with a kernel of order
+    # 2, and the dropped lift fixes the top points its generator moves.
+    top_lift = WreathProduct.top_lift
+    monkeypatch.setattr(WreathProduct, "top_lift",
+                        lambda self, h: (Permutation.identity(self.group.degree)
+                                         if str(h) == "(1 3)(2 4)" else top_lift(self, h)))
+    V4 = generate(["(1 2)(3 4)", "(1 3)(2 4)"], 4)
+    with pytest.raises(FalsificationAlarm, match="lift of the target is not an embedding") as info:
+        build_realization(V4, alternating(5), V4, identity_hom(V4))
+    assert info.value.witness["failed"] == "lift does not act on the top points as the embedding"
+
+
+def test_lift_check_alarms_on_a_lift_inside_h(monkeypatch):
+    # C3's generator is lifted to (2 3 4), which lies in H0 = H: the lift
+    # normalizes H and the map is an injective homomorphism, and M's chain,
+    # built from the true lift, even has order |H|·|G|, yet ⟨H, L⟩ = H.
+    # Only the tail tells: (2 3 4) fixes the top points (1 2 3) moves.
+    top_lift = WreathProduct.top_lift
+    inside = Permutation.from_cycles("(2 3 4)", 8)
+    monkeypatch.setattr(WreathProduct, "top_lift",
+                        lambda self, h: inside if str(h) == "(1 2 3)" else top_lift(self, h))
+    C3 = cyclic(3)
+    with pytest.raises(FalsificationAlarm, match="lift of the target is not an embedding") as info:
+        build_realization(C3, alternating(5), C3, identity_hom(C3))
+    assert info.value.witness["failed"] == "lift does not act on the top points as the embedding"
+
+
+def test_realize_caps_the_regular_action_of_the_target():
+    # The certificate's source has |G| points: |S5| = 120 is over this cap,
+    # which A5 and its H0 walk meet, and no brute check is asked for.
+    tight = Caps(enum_cap=60)
+    with pytest.raises(CapExceeded) as info:
+        realize(symmetric(5), caps=tight, brute_check=False)
+    assert str(info.value) == cap_message(tight, "enum_cap", "order", 120)
+
+
 def test_order_arithmetic_alarms_on_a_lift_that_does_not_normalize_the_base(monkeypatch):
     # A5 wr C4 over C2 has two blocks of five points and a tail of four.
     # Every top lift also exchanges the first points of the two blocks, so it
@@ -308,8 +377,7 @@ def test_order_arithmetic_alarms_on_a_coset_map_that_is_not_a_homomorphism(monke
 
 def test_realize_never_runs_schreier_sims_on_gamma(monkeypatch):
     # Γ = A5^12 ⋊ S4 and M get their chains by construction; only small
-    # groups (G0, H0, the top group, graph subgroups, the quotient) are
-    # extended.
+    # groups (G0, H0, the top group, graph subgroups) are extended.
     degrees = []
     extend = StabChain.extend
 
@@ -434,6 +502,76 @@ def test_alternating_embedding_doubles_odd_regular_image():
     assert all(p.parity() == 0 for p in embed.gen_images)
     with pytest.raises(InvalidInput):
         alternating_embedding(symmetric(3), 6)
+
+
+# ---------------------------------------------------------------------------
+# Lift certificates
+
+
+def assert_lift_certificate_matches_the_quotient(cert):
+    """The certificate's source is M/H as the coset action builds it, the
+    search finds M/H ≅ G, and the forward map is an isomorphism."""
+    Q = coset_action(cert.normalizer, cert.h).image()
+    assert cert.iso.source.generators == Q.generators
+    assert isomorphic(Q, cert.target) is not None
+    assert cert.iso.verify()
+    assert cert.iso.forward.gen_images == cert.target.generators
+
+
+def test_lift_certificate_on_every_small_catalog_group(default_catalog):
+    small = [e for e in default_catalog.entries if e.group.order() <= 12]
+    assert len(small) == 18
+    for entry in small:
+        assert_lift_certificate_matches_the_quotient(realize(entry.group))
+
+
+@pytest.mark.parametrize("target,top,g0,alt", [
+    ("C2", "C4", None, None), ("C3", "C6", None, None),
+    ("C2", "S3", "A5", None), ("V4", "S4", "A5", None), ("C3", "A4", "A5", None),
+    ("C2", "S4", "A5", None), ("C2", "C4", "A6", None),
+    ("C3", None, None, 3), ("C2", None, None, 4),
+])
+def test_lift_certificate_with_top_alt_and_base_groups(target, top, g0, alt):
+    structural = g0 is not None or alt == 4
+    cert = realize(parse_group_spec(target), alt=alt, brute_check=not structural,
+                   top=parse_group_spec(top) if top else None,
+                   G0=parse_group_spec(g0) if g0 else None)
+    assert_lift_certificate_matches_the_quotient(cert)
+
+
+@pytest.mark.parametrize("G,brute_check", [(alternating(7), True), (symmetric(7), False)],
+                         ids=["A7", "S7-structural"])
+def test_realize_never_searches_for_an_isomorphism(G, brute_check, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("isomorphic() called")
+
+    monkeypatch.setattr(realization, "isomorphic", refuse)
+    cert = realize(G, brute_check=brute_check)
+    assert cert.checks["iso_verified"] == "passed"
+    assert cert.normalizer.order() == cert.h.order() * G.order()
+
+
+def test_default_base_runs_the_h0_walk_once(default_catalog, monkeypatch):
+    walks = []
+    walk = realization._maximal_selfnormalizing
+
+    def counting(G0, caps):
+        walks.append(G0)
+        return walk(G0, caps)
+
+    monkeypatch.setattr(realization, "_DEFAULT_G0", alternating(5))
+    monkeypatch.setattr(realization, "_maximal_selfnormalizing", counting)
+    certs = [realize(e.group) for e in default_catalog.entries if e.group.order() <= 12]
+    assert len(certs) == 18
+    assert walks == [realization._DEFAULT_G0]
+    assert all(c.g0 is certs[0].g0 and c.h0 is certs[0].h0 for c in certs)
+
+    # Other caps walk again and still meet their limits.
+    tight = Caps(enum_cap=59)
+    with pytest.raises(CapExceeded) as info:
+        realize(cyclic(2), caps=tight)
+    assert str(info.value) == cap_message(tight, "enum_cap", "order", 60)
+    assert len(walks) == 2
 
 
 # ---------------------------------------------------------------------------
