@@ -2,20 +2,22 @@
 
 Permutations are bijections of {0, ..., degree-1} stored as image tuples.
 Groups carry a stabilizer chain (base and strong generating set) used for
-order and membership; full element lists are materialized only when the
-order stays under the enumeration cap.
+order and membership.  Results computed from a group's elements, its sorted
+element list among them, are cached on the group by `PermGroup.cached`, which
+refuses a group over the enumeration cap on every call.
 """
 from __future__ import annotations
 
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .config import DEFAULT_CAPS, Caps, cap_message
 from .errors import CapExceeded, DegreeMismatch, InvalidInput, ParseError
 
 RawPerm = tuple[int, ...]
+T = TypeVar("T")
 
 
 def _compose(a: RawPerm, b: RawPerm) -> RawPerm:
@@ -126,10 +128,6 @@ class Permutation:
 
     def is_identity(self) -> bool:
         return all(i == x for i, x in enumerate(self.images))
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Nontrivial cycles, each starting at its least point, sorted by that point."""
-        return _cycles(self.images)
 
     def order(self) -> int:
         return _order(self.images)
@@ -472,25 +470,31 @@ class PermGroup:
     def contains_raw(self, raw: RawPerm) -> bool:
         return self.chain().contains(raw)
 
+    def cached(self, key, caps: Caps, compute: Callable[[], T]) -> T:
+        """The value stored on this group under `key`, from `compute()` on the
+        first call.
+
+        Every call first raises CapExceeded when |G| exceeds `caps.enum_cap`,
+        so a cap answers the same way whatever ran before: a value computed
+        under larger caps is never returned under smaller ones.
+        """
+        n = self.order()
+        if n > caps.enum_cap:
+            raise CapExceeded(cap_message(caps, "enum_cap", "order", n))
+        if key not in self._cache:
+            self._cache[key] = compute()
+        return self._cache[key]
+
     def raw_elements(self, caps: Caps = DEFAULT_CAPS) -> tuple[RawPerm, ...]:
-        cached = self._cache.get("raw_elements")
-        if cached is None:
-            n = self.order()
-            if n > caps.enum_cap:
-                raise CapExceeded(cap_message(caps, "enum_cap", "order", n))
-            cached = tuple(self.chain().iter_elements())
-            self._cache["raw_elements"] = cached
-        return cached
+        """All elements, sorted."""
+        return self.cached("raw_elements", caps,
+                           lambda: tuple(sorted(self.chain().iter_elements())))
 
     def elements(self, caps: Caps = DEFAULT_CAPS) -> tuple[Permutation, ...]:
         return tuple(Permutation(r) for r in self.raw_elements(caps))
 
     def element_set(self, caps: Caps = DEFAULT_CAPS) -> frozenset[RawPerm]:
-        cached = self._cache.get("element_set")
-        if cached is None:
-            cached = frozenset(self.raw_elements(caps))
-            self._cache["element_set"] = cached
-        return cached
+        return frozenset(self.raw_elements(caps))
 
     # -- subgroup relations ---------------------------------------------
 
@@ -808,8 +812,7 @@ def coset_action(G: PermGroup, S: PermGroup, kernel: PermGroup | None = None) ->
 
 def regular_representation(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> GroupHom:
     """The left-regular action of G on its own (sorted) element list."""
-    elems = list(G.raw_elements(caps))
-    elems.sort()
+    elems = G.raw_elements(caps)
     index = {e: i for i, e in enumerate(elems)}
 
     def act(raw: RawPerm) -> RawPerm:

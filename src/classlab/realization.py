@@ -156,38 +156,32 @@ def maximal_selfnormalizing(G0: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGro
     and the walk ends at a maximal subgroup.  Self-normalization is confirmed
     by `brute_normalizer`, one test per coset.
 
-    H0 is cached on G0 under `caps`, so the walk runs once per base group,
-    and a call under other caps walks again and meets their limits.
+    H0 is cached on G0, so the walk runs once per base group.
     """
-    known = G0._cache.setdefault("maximal_selfnormalizing", {})
-    H0 = known.get(caps)
-    if H0 is None:
-        H0 = known[caps] = _maximal_selfnormalizing(G0, caps)
-    return H0
-
-
-def _maximal_selfnormalizing(G0: PermGroup, caps: Caps) -> PermGroup:
     if is_abelian(G0):
         raise InvalidInput("a simple non-abelian group is required (input is abelian)")
-    if not is_simple(G0, caps):
-        raise InvalidInput("a simple non-abelian group is required (input is not simple)")
 
-    least = min(next(p for p, x in enumerate(g) if x != p) for g in G0.raw_gens())
-    H0 = point_stabilizer(G0, least)
-    while True:
-        action = coset_action(G0, H0)
-        block = _proper_block(action.target.degree, action.target.raw_gens())
-        if block is None:
-            break
-        H0 = H0.extended(action.coset_reps[j] for j in block)
+    def walk() -> PermGroup:
+        if not is_simple(G0, caps):
+            raise InvalidInput("a simple non-abelian group is required (input is not simple)")
+        least = min(next(p for p, x in enumerate(g) if x != p) for g in G0.raw_gens())
+        H0 = point_stabilizer(G0, least)
+        while True:
+            action = coset_action(G0, H0)
+            block = _proper_block(action.target.degree, action.target.raw_gens())
+            if block is None:
+                break
+            H0 = H0.extended(action.coset_reps[j] for j in block)
 
-    normalizer = brute_normalizer(G0, H0, caps)
-    if normalizer.order() != H0.order():
-        raise FalsificationAlarm(
-            "maximal subgroup of a simple group is not self-normalizing",
-            witness={"g0_order": G0.order(), "h0_order": H0.order(),
-                     "normalizer_order": normalizer.order()})
-    return H0
+        normalizer = brute_normalizer(G0, H0, caps)
+        if normalizer.order() != H0.order():
+            raise FalsificationAlarm(
+                "maximal subgroup of a simple group is not self-normalizing",
+                witness={"g0_order": G0.order(), "h0_order": H0.order(),
+                         "normalizer_order": normalizer.order()})
+        return H0
+
+    return G0.cached("maximal_selfnormalizing", caps, walk)
 
 
 # ---------------------------------------------------------------------------

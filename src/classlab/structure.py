@@ -4,8 +4,9 @@ Conjugacy classes, the normal-subgroup lattice, maximal normal subgroups and
 their intersection (the radical), quotients by coset action, solvability-style
 predicates, isomorphism certificates, and exhaustive subgroup enumeration.
 
-Two caches live here and nowhere else: a group's lattice quotients G/N, kept
-on the group (`lattice_quotient`), and the isomorphism types of a session,
+A group's classes, normal lattice, lattice quotients G/N, fingerprint and
+subgroup list are kept on the group through `PermGroup.cached`, which checks
+the enumeration cap on every call.  The isomorphism types of a session are
 kept by an `IsoTypes` registry, the one place that decides whether two groups
 are the same type.
 """
@@ -60,14 +61,6 @@ def _is_prime(n: int) -> bool:
     return n > 1 and _prime_factors(n) == [n]
 
 
-def sorted_elements(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> tuple[RawPerm, ...]:
-    cached = G._cache.get("sorted_elements")
-    if cached is None:
-        cached = tuple(sorted(G.raw_elements(caps)))
-        G._cache["sorted_elements"] = cached
-    return cached
-
-
 # ---------------------------------------------------------------------------
 # Conjugacy and characteristic subgroups
 
@@ -87,14 +80,16 @@ class ConjClass:
 
 
 def conjugacy_classes(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> list[ConjClass]:
-    """Conjugacy classes ordered by their least element (identity class first)."""
-    cached = G._cache.get("conj_classes")
-    if cached is not None:
-        return cached
+    """Conjugacy classes ordered by their least element (identity class
+    first), computed once per group."""
+    return G.cached("conj_classes", caps, lambda: _conjugacy_classes(G, caps))
+
+
+def _conjugacy_classes(G: PermGroup, caps: Caps) -> list[ConjClass]:
     gens = G.raw_gens()
     seen: set[RawPerm] = set()
     classes: list[ConjClass] = []
-    for start in sorted_elements(G, caps):
+    for start in G.raw_elements(caps):
         if start in seen:
             continue
         members = {start}
@@ -110,7 +105,6 @@ def conjugacy_classes(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> list[ConjClass
             frontier = nxt
         seen |= members
         classes.append(ConjClass(Permutation(start), frozenset(members), _order(start)))
-    G._cache["conj_classes"] = classes
     return classes
 
 
@@ -197,7 +191,7 @@ def is_cyclic(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> bool:
         return True
     if not is_abelian(G):
         return False
-    return any(_order(x) == n for x in sorted_elements(G, caps))
+    return any(_order(x) == n for x in G.raw_elements(caps))
 
 
 def is_p_group(G: PermGroup, p: int) -> bool:
@@ -284,11 +278,13 @@ def normal_subgroups(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> NormalLattice:
     - a new member sifts class representatives only until the sizes of the
       classes found sum to its order.
 
-    Members are ordered by (order, first discovery).
+    Members are ordered by (order, first discovery).  The lattice is computed
+    once per group.
     """
-    cached = G._cache.get("normal_lattice")
-    if cached is not None:
-        return cached
+    return G.cached("normal_lattice", caps, lambda: _normal_lattice(G, caps))
+
+
+def _normal_lattice(G: PermGroup, caps: Caps) -> NormalLattice:
     order_G = G.order()
     classes = conjugacy_classes(G, caps)
     reps = [cls.rep.images for cls in classes]
@@ -372,9 +368,7 @@ def normal_subgroups(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> NormalLattice:
     maximal = [mask != full and not any(other not in (full, mask) and mask & ~other == 0
                                         for other in masks)
                for mask in masks]
-    lattice = NormalLattice([m for m, _ in ranked], maximal, masks)
-    G._cache["normal_lattice"] = lattice
-    return lattice
+    return NormalLattice([m for m, _ in ranked], maximal, masks)
 
 
 def baer_radical(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
@@ -406,11 +400,8 @@ def lattice_quotient(G: PermGroup, idx: int, caps: Caps = DEFAULT_CAPS) -> PermG
     """
     if idx == 0:
         return G
-    known = G._cache.setdefault("lattice_quotients", {})
-    Q = known.get(idx)
-    if Q is None:
-        Q = known[idx] = quotient(G, normal_subgroups(G, caps).members[idx])[0]
-    return Q
+    return G.cached(("lattice_quotient", idx), caps,
+                    lambda: quotient(G, normal_subgroups(G, caps).members[idx])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -423,21 +414,20 @@ def fingerprint(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> tuple:
     (order, element-order histogram, class sizes, centre order, derived
     series orders); all but the last are read off the conjugacy classes.
     """
-    cached = G._cache.get("fingerprint")
-    if cached is not None:
-        return cached
     if G.order() > caps.iso_cap:
         raise CapExceeded(cap_message(caps, "iso_cap", "order", G.order()))
-    classes = conjugacy_classes(G, caps)
-    hist: dict[int, int] = {}
-    for cls in classes:
-        hist[cls.order] = hist.get(cls.order, 0) + cls.size
-    class_sizes = tuple(sorted(cls.size for cls in classes))
-    z = sum(1 for cls in classes if cls.size == 1)
-    derived = tuple(s.order() for s in derived_series(G))
-    fp = (G.order(), tuple(sorted(hist.items())), class_sizes, z, derived)
-    G._cache["fingerprint"] = fp
-    return fp
+
+    def compute() -> tuple:
+        classes = conjugacy_classes(G, caps)
+        hist: dict[int, int] = {}
+        for cls in classes:
+            hist[cls.order] = hist.get(cls.order, 0) + cls.size
+        class_sizes = tuple(sorted(cls.size for cls in classes))
+        z = sum(1 for cls in classes if cls.size == 1)
+        derived = tuple(s.order() for s in derived_series(G))
+        return (G.order(), tuple(sorted(hist.items())), class_sizes, z, derived)
+
+    return G.cached("fingerprint", caps, compute)
 
 
 @dataclass
@@ -642,7 +632,7 @@ class IsoTypes:
 def subgroups(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> list[PermGroup]:
     """All subgroups: the cyclic subgroups closed under pairwise join.
 
-    Elements are indexed once in `sorted_elements` order and a subgroup is
+    Elements are indexed once in `raw_elements` order and a subgroup is
     keyed by the int bitmask of its element indices.  The atoms are the
     distinct cyclic subgroups <x>, taken in index order, each generated by
     its least generator.  A breadth-first pass joins every subgroup S of the
@@ -674,21 +664,20 @@ def subgroup_classes(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> list[int]:
 
 
 def _subgroup_table(G: PermGroup, caps: Caps) -> tuple[list[PermGroup], list[int]]:
-    """`subgroups(G)` and `subgroup_classes(G)`, cached as one entry."""
-    cached = G._cache.get("subgroups")
-    if cached is not None:
-        if len(cached[0]) > caps.subgroup_limit:
-            raise SubgroupLimitExceeded(
-                cap_message(caps, "subgroup_limit", "subgroup count", len(cached[0])))
-        return cached
+    """`subgroups(G)` and `subgroup_classes(G)`, cached as one entry; the
+    subgroup limit is checked against the stored count on every call."""
+    def compute() -> tuple[list[PermGroup], list[int]]:
+        elems = G.raw_elements(caps)
+        gen_lists, first = _enumerate_subgroups(G, elems, caps)
+        atoms: dict[int, Permutation] = {}
+        return [PermGroup(G.degree, [atoms.setdefault(a, Permutation(elems[a])) for a in gens])
+                for gens in gen_lists], first
 
-    elems = sorted_elements(G, caps)
-    gen_lists, first = _enumerate_subgroups(G, elems, caps)
-    atoms: dict[int, Permutation] = {}
-    groups = [PermGroup(G.degree, [atoms.setdefault(a, Permutation(elems[a])) for a in gens])
-              for gens in gen_lists]
-    G._cache["subgroups"] = (groups, first)
-    return groups, first
+    table = G.cached("subgroups", caps, compute)
+    if len(table[0]) > caps.subgroup_limit:
+        raise SubgroupLimitExceeded(
+            cap_message(caps, "subgroup_limit", "subgroup count", len(table[0])))
+    return table
 
 
 def _enumerate_subgroups(G: PermGroup, elems: tuple[RawPerm, ...],
@@ -952,7 +941,7 @@ def complement_exists(G: PermGroup, N: PermGroup,
     # representative, so fibers come from one coset each instead of a
     # projection scan over all of G.
     rep_for = {proj.apply_raw(r.images): r.images for r in proj.coset_reps}
-    n_elems = sorted(N.raw_elements(caps))
+    n_elems = N.raw_elements(caps)
 
     fibers: list[list[RawPerm]] = []
     space = 1

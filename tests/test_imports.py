@@ -6,7 +6,8 @@ loaded somewhere in that module; a quoted annotation counts as a use of the
 names it mentions.
 
 Only `perm.py` assigns a group's stabilizer chain: every other module hands
-a chain it built to `PermGroup(..., chain=...)`.
+a chain it built to `PermGroup(..., chain=...)`.  Only `perm.py` touches a
+group's `_cache`: every other module caches through `PermGroup.cached`.
 """
 import ast
 from pathlib import Path
@@ -80,3 +81,24 @@ def test_finds_chain_writes(tmp_path):
     src = tmp_path / "mod.py"
     src.write_text("G._chain = c\nG._chain: object = c\nG.chain = c\na, H._chain = 1, 2\n")
     assert chain_writes(src) == ["mod:1", "mod:2", "mod:4"]
+
+
+def cache_uses(path: Path) -> list[str]:
+    """Reads and writes of an attribute named `_cache` in the module at path."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [f"{path.stem}:{line}" for line in sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "_cache")]
+
+
+def test_only_perm_touches_a_group_cache():
+    found = [u for path in sorted(SRC.glob("*.py")) if path.name != "perm.py"
+             for u in cache_uses(path)]
+    assert found == []
+
+
+def test_finds_cache_reads_and_writes(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("x = G._cache.get('k')\nG._cache = {}\nG.cache = 1\n"
+                   "del H._cache['k']\nf(cache=G.cached)\n")
+    assert cache_uses(src) == ["mod:1", "mod:2", "mod:4"]

@@ -552,26 +552,27 @@ def test_realize_never_searches_for_an_isomorphism(G, brute_check, monkeypatch):
 
 
 def test_default_base_runs_the_h0_walk_once(default_catalog, monkeypatch):
+    # Each walk for H0 starts from one point stabilizer of G0.
     walks = []
-    walk = realization._maximal_selfnormalizing
+    stabilizer = realization.point_stabilizer
 
-    def counting(G0, caps):
+    def counting(G0, point):
         walks.append(G0)
-        return walk(G0, caps)
+        return stabilizer(G0, point)
 
     monkeypatch.setattr(realization, "_DEFAULT_G0", alternating(5))
-    monkeypatch.setattr(realization, "_maximal_selfnormalizing", counting)
+    monkeypatch.setattr(realization, "point_stabilizer", counting)
     certs = [realize(e.group) for e in default_catalog.entries if e.group.order() <= 12]
     assert len(certs) == 18
     assert walks == [realization._DEFAULT_G0]
     assert all(c.g0 is certs[0].g0 and c.h0 is certs[0].h0 for c in certs)
 
-    # Other caps walk again and still meet their limits.
+    # Smaller caps still meet their limits, before any walk.
     tight = Caps(enum_cap=59)
     with pytest.raises(CapExceeded) as info:
         realize(cyclic(2), caps=tight)
     assert str(info.value) == cap_message(tight, "enum_cap", "order", 60)
-    assert len(walks) == 2
+    assert len(walks) == 1
 
 
 # ---------------------------------------------------------------------------

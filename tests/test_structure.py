@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from classlab import perm, structure
-from classlab.config import DEFAULT_CAPS, Caps
+from classlab.config import DEFAULT_CAPS, Caps, cap_message
 from classlab.errors import CapExceeded, FalsificationAlarm, InvalidInput, SubgroupLimitExceeded
 from classlab.perm import GroupHom, Permutation, coset_action, generate, regular_representation
+from classlab.realization import maximal_selfnormalizing
 from classlab.structure import (
     IsoCertificate,
     IsoTypes,
@@ -206,6 +207,55 @@ class TestClassInvariants:
         _, fp_hist, _, fp_centre, _ = fingerprint(G)
         assert fp_hist == tuple(sorted(hist.items()))
         assert fp_centre == len(brute_centre)
+
+    @given(generated_group())
+    @settings(max_examples=40, deadline=None)
+    def test_raw_elements_are_the_sorted_closure(self, case):
+        degree, gens = case
+        elems = generate(gens, degree).raw_elements()
+        assert all(a < b for a, b in zip(elems, elems[1:]))
+        assert elems == tuple(sorted(oracles.naive_closure(gens, degree)))
+
+
+class TestCapsBindOnEveryCall:
+    """A result cached on a group under larger caps is not returned under
+    smaller ones: a warm group raises the message a fresh copy raises."""
+
+    # Each cached entry point: (a fresh group, the call under caps).
+    ENTRY_POINTS = {
+        "raw_elements": (A5, lambda G, caps: G.raw_elements(caps)),
+        "conjugacy_classes": (A5, conjugacy_classes),
+        "normal_subgroups": (A5, normal_subgroups),
+        "lattice_quotient": (A5, lambda G, caps: lattice_quotient(G, 1, caps)),
+        "subgroups": (A5, subgroups),
+        "is_simple": (A5, is_simple),
+        "maximal_selfnormalizing": (A5, maximal_selfnormalizing),
+        # is_cyclic returns before enumerating on a non-abelian group
+        "is_cyclic": (lambda: parse_group_spec("C60"), is_cyclic),
+        "fingerprint": (A5, fingerprint),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_warm_group_raises_the_fresh_message(self, entry):
+        make, call = self.ENTRY_POINTS[entry]
+        tight, field = ((Caps(iso_cap=59), "iso_cap") if entry == "fingerprint"
+                        else (Caps(enum_cap=59), "enum_cap"))
+        with pytest.raises(CapExceeded) as fresh:
+            call(make(), tight)
+        assert str(fresh.value) == cap_message(tight, field, "order", 60)
+        G = make()
+        call(G, DEFAULT_CAPS)
+        with pytest.raises(CapExceeded) as warm:
+            call(G, tight)
+        assert str(warm.value) == str(fresh.value)
+
+    def test_abelian_base_over_the_cap_is_still_invalid_input(self):
+        tight = Caps(enum_cap=59)
+        G0 = parse_group_spec("C60")
+        for _ in range(2):
+            with pytest.raises(InvalidInput, match="input is abelian"):
+                maximal_selfnormalizing(G0, tight)
+            G0.raw_elements()
 
 
 class TestNormalLattice:
@@ -441,7 +491,7 @@ class TestQuotient:
         assert [Q.order() for Q in first] == [24, 6, 2, 1]
         assert all(a is b for a, b in zip(first, again))
         # G/1 is G itself, neither built nor stored
-        assert first[0] is G and 0 not in G._cache["lattice_quotients"]
+        assert first[0] is G and all(v is not G for v in G._cache.values())
         assert [N for _, N in calls] == members[1:]
 
 
