@@ -54,6 +54,7 @@ from .structure import (
     isomorphic,
     normal_in,
     quotient,
+    subgroup_classes,
     subgroups,
 )
 from .universe import alternating
@@ -389,13 +390,17 @@ def realize(G: PermGroup, alt: int | None = None, caps: Caps = DEFAULT_CAPS,
 def embedding_into(G: PermGroup, ambient: PermGroup,
                    caps: Caps = DEFAULT_CAPS) -> GroupHom:
     """An injective homomorphism G → ambient, found by scanning the ambient
-    subgroup lattice for the first subgroup isomorphic to G."""
+    subgroup lattice for the first subgroup isomorphic to G.  Isomorphism is a
+    class invariant, so only the first member of each conjugacy class is
+    tested, and the first isomorphic subgroup in list order is one of them."""
     if ambient.order() % G.order() != 0:
         raise InvalidInput(
             f"no subgroup of order {G.order()} fits in a group of order "
             f"{ambient.order()}")
-    for S in subgroups(ambient, caps=caps):
-        if S.order() != G.order():
+    subs = subgroups(ambient, caps=caps)
+    for pos, first in enumerate(subgroup_classes(ambient, caps=caps)):
+        S = subs[pos]
+        if first != pos or S.order() != G.order():
             continue
         cert = isomorphic(G, S, caps)
         if cert is not None:
@@ -446,9 +451,16 @@ class BruteHit:
 
 def brute_search(Gamma: PermGroup, G: PermGroup,
                  caps: Caps = DEFAULT_CAPS) -> list[BruteHit]:
-    """All subgroups H ≤ Γ with N_Γ(H)/H ≅ G, normalizers by `brute_normalizer`."""
+    """All subgroups H ≤ Γ with N_Γ(H)/H ≅ G, normalizers by `brute_normalizer`.
+    N_Γ(H)/H is a class invariant, so the other members of a conjugacy class
+    are tested only when its first member is a hit."""
     hits = []
-    for H in subgroups(Gamma, caps=caps):
+    hit_classes = set()
+    subs = subgroups(Gamma, caps=caps)
+    for pos, first in enumerate(subgroup_classes(Gamma, caps=caps)):
+        if first != pos and first not in hit_classes:
+            continue
+        H = subs[pos]
         N = brute_normalizer(Gamma, H, caps)
         if N.order() != H.order() * G.order():
             continue
@@ -456,6 +468,7 @@ def brute_search(Gamma: PermGroup, G: PermGroup,
         iso = isomorphic(Q, G, caps)
         if iso is not None:
             hits.append(BruteHit(subgroup=H, normalizer=N, quotient=Q, iso=iso))
+            hit_classes.add(first)
     return hits
 
 

@@ -630,24 +630,21 @@ class IsoTypes:
 
 
 def subgroups(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> list[PermGroup]:
-    """All subgroups: the cyclic subgroups closed under pairwise join.
+    """All subgroups: the cyclic subgroups closed under join, class by class.
 
     Elements are indexed once in `raw_elements` order and a subgroup is
     keyed by the int bitmask of its element indices.  The atoms are the
     distinct cyclic subgroups <x>, taken in index order, each generated by
-    its least generator.  A breadth-first pass joins every subgroup S of the
-    current frontier with every atom a not in S, in atom order; the first
-    discovery of a mask fixes its generators as S's generators followed by a.
-
-    Joins are shared across conjugacy classes.  When a subgroup is first
-    recorded, its orbit under conjugation is walked through the index maps
-    c_g[i] = index(g·e_i·g⁻¹) of G's generators; the walk's tree gives each
-    conjugate S its class representative R and, composed along the tree
-    path, an index map π with S = π(R).  Then <S, a> = π(<R, b>), where b is
-    the atom generating <π⁻¹(a)>, and a ∈ S iff b ∈ R.  <R, b> is closed once
-    per (R, b) by right multiplication by its generators, each step a lookup
-    in the generator's row r_b[i] = index(e_i ∘ b); a closure that passes
-    half the elements of G is G (Lagrange) and stops there.
+    its least generator.  A breadth-first pass keeps only conjugacy class
+    representatives R in its frontier: for S = c(R), <S, a> = c(<R, c⁻¹(a)>),
+    so every class of the next frontier holds some <R, b> with b an atom not
+    in R, in frontier and atom order.  <R, b> is closed by right
+    multiplication by its generators, each step a lookup in the generator's
+    row r_b[i] = index(e_i ∘ b); a closure that passes half the elements of G
+    is G (Lagrange) and stops there.  A new class is recorded with R's
+    generators followed by b, and its conjugation orbit is walked once
+    through the index maps c_g[i] = index(g·e_i·g⁻¹) of G's generators, each
+    conjugate c(T) listed with T's generators mapped by c.
     Raises SubgroupLimitExceeded as soon as the count, atoms included, passes
     `caps.subgroup_limit`.  The result is ordered by (order, sorted
     elements), which on the sorted index is (popcount, ascending set bits).
@@ -669,8 +666,8 @@ def _subgroup_table(G: PermGroup, caps: Caps) -> tuple[list[PermGroup], list[int
     def compute() -> tuple[list[PermGroup], list[int]]:
         elems = G.raw_elements(caps)
         gen_lists, first = _enumerate_subgroups(G, elems, caps)
-        atoms: dict[int, Permutation] = {}
-        return [PermGroup(G.degree, [atoms.setdefault(a, Permutation(elems[a])) for a in gens])
+        perms: dict[int, Permutation] = {}
+        return [PermGroup(G.degree, [perms.setdefault(a, Permutation(elems[a])) for a in gens])
                 for gens in gen_lists], first
 
     table = G.cached("subgroups", caps, compute)
@@ -699,47 +696,37 @@ def _enumerate_subgroups(G: PermGroup, elems: tuple[RawPerm, ...],
 
     # mask -> (generator indices, member indices); the identity is index 0
     found: dict[int, tuple[tuple[int, ...], list[int]]] = {}
-    # the atoms' element indices, in index order
-    atoms: list[int] = []
-    # element index -> index of the atom generating the same cyclic subgroup
-    atom_of: list[int] = []
-    atom_index: dict[int, int] = {}
-    frontier: list[int] = []
-    # mask -> (class representative's mask, parent's mask, c_g with
-    # S = c_g(parent)): the orbit walk's tree, rooted at R with parent None
-    conj: dict[int, tuple[int, int | None, list[int] | None]] = {}
+    # mask -> mask of its class representative
+    rep: dict[int, int] = {}
 
-    def record(mask: int, entry: tuple, new: list[int]) -> None:
-        found[mask] = entry
-        new.append(mask)
+    def record(mask: int, gens: tuple[int, ...], members: list[int]) -> None:
+        found[mask] = (gens, members)
         if len(found) > caps.subgroup_limit:
             raise SubgroupLimitExceeded(
                 cap_message(caps, "subgroup_limit", "subgroup count", len(found)))
-        if mask in conj:
-            return
-        conj[mask] = (mask, None, None)
-        orbit = [(mask, entry[1])]
-        for s_mask, s_members in orbit:
+
+    def orbit(mask: int, gens: tuple[int, ...],
+              members: list[int]) -> list[tuple[int, tuple[int, ...], list[int]]]:
+        """The conjugation orbit of the new class representative `mask`,
+        itself first, each conjugate c(T) with T's generators mapped by c;
+        marks the representative of every member."""
+        rep[mask] = mask
+        out = [(mask, gens, members)]
+        for _, s_gens, s_members in out:
             for c in conj_maps:
                 t_members = [c[i] for i in s_members]
                 t_mask = sum(bits[i] for i in t_members)
-                if t_mask not in conj:
-                    conj[t_mask] = (mask, s_mask, c)
-                    orbit.append((t_mask, t_members))
+                if t_mask not in rep:
+                    rep[t_mask] = mask
+                    out.append((t_mask, tuple(c[i] for i in s_gens), t_members))
+        return out
 
-    def index_map(mask: int) -> list[int] | None:
-        """π with S = π(R), composed along the tree path; None when S is R."""
-        maps = []
-        _, parent, c = conj[mask]
-        while parent is not None:
-            maps.append(c)
-            _, parent, c = conj[parent]
-        pi = None
-        for c in reversed(maps):
-            pi = c if pi is None else [c[p] for p in pi]
-        return pi
-
-    record(1, ((), [0]), [])
+    record(1, (), [0])
+    rep[1] = 1
+    # Class representatives of the cyclic subgroups; every atom <x> keeps its
+    # least generator x, so the atom scan, not the walk, lists them.
+    frontier = []
+    atoms: list[int] = []
     ident = elems[0]
     for i, x in enumerate(elems):
         members = [0]
@@ -748,10 +735,12 @@ def _enumerate_subgroups(G: PermGroup, elems: tuple[RawPerm, ...],
             members.append(index[y])
             y = _compose(y, x)
         mask = sum(bits[j] for j in members)
-        atom_of.append(atom_index.setdefault(mask, i))
         if mask not in found:
             atoms.append(i)
-            record(mask, ((i,), members), frontier)
+            record(mask, (i,), members)
+            if mask not in rep:
+                orbit(mask, (i,), members)
+                frontier.append(mask)
 
     everything = ((1 << n) - 1, list(range(n)))
 
@@ -782,47 +771,26 @@ def _enumerate_subgroups(G: PermGroup, elems: tuple[RawPerm, ...],
         return r_mask + sum(bits[j] for j in j_members[len(r_members):]), j_members
 
     while frontier:
-        # Conjugates need the same least number of atoms to generate them, so
-        # a class lies in one frontier, and so do the joins of its members.
-        # Per class representative R in this frontier: (member indices,
-        # generator rows), and <R, b> per atom b.
-        reps: dict[int, tuple[list[int], list[list[int]]]] = {}
-        joins: dict[tuple[int, int], tuple[int, list[int]]] = {}
+        # <S, a> = c(<R, c⁻¹(a)>) for S = c(R), so every class of the next
+        # frontier holds a join of a class representative R with an atom.
         nxt = []
-        for s_mask in frontier:
-            s_gens = found[s_mask][0]
-            r_mask = conj[s_mask][0]
-            rep = reps.get(r_mask)
-            if rep is None:
-                r_gens, r_members = found[r_mask]
-                rep = reps[r_mask] = (r_members, [row(g) for g in r_gens])
-            pi = index_map(s_mask)
-            inv = list(range(n))
-            if pi is not None:
-                for i, p in enumerate(pi):
-                    inv[p] = i
-            for a in atoms:
-                b = inv[a]
+        for r_mask in frontier:
+            r_gens, r_members = found[r_mask]
+            r_rows = [row(g) for g in r_gens]
+            for b in atoms:
                 if r_mask >> b & 1:
                     continue
-                b = atom_of[b]
-                joined = joins.get((r_mask, b))
-                if joined is None:
-                    joined = joins[r_mask, b] = join(r_mask, *rep, row(b))
-                j_mask, j_members = joined
-                if pi is not None and joined is not everything:
-                    j_members = [pi[j] for j in j_members]
-                    j_mask = sum(bits[j] for j in j_members)
+                j_mask, j_members = join(r_mask, r_members, r_rows, row(b))
                 if j_mask not in found:
-                    record(j_mask, (s_gens + (a,), j_members), nxt)
+                    for t in orbit(j_mask, r_gens + (b,), j_members):
+                        record(*t)
+                    nxt.append(j_mask)
         frontier = nxt
 
     ranked = sorted(found.items(), key=lambda t: (len(t[1][1]), sorted(t[1][1])))
     first: dict[int, int] = {}
     return ([gens for _, (gens, _) in ranked],
-            [first.setdefault(conj[mask][0], pos) for pos, (mask, _) in enumerate(ranked)])
-
-
+            [first.setdefault(rep[mask], pos) for pos, (mask, _) in enumerate(ranked)])
 
 
 # ---------------------------------------------------------------------------

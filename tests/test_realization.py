@@ -39,7 +39,7 @@ from classlab.realization import (
     realize,
     split_check,
 )
-from classlab.structure import is_simple, isomorphic
+from classlab.structure import is_simple, isomorphic, quotient, subgroups
 from classlab.universe import alternating, cyclic, parse_group_spec, quaternion, symmetric
 
 import oracles
@@ -598,6 +598,23 @@ def test_brute_search_a5_for_a5():
     assert any(h.subgroup.order() == 1 for h in hits)
 
 
+@pytest.mark.parametrize("spec,target,calls", [("S4", "C1", 16), ("A5", "A5", 9), ("S4", "C2", 23)])
+def test_brute_search_tests_one_member_of_each_missed_class(spec, target, calls, monkeypatch):
+    Gamma, G = parse_group_spec(spec), parse_group_spec(target)
+
+    def is_hit(H):
+        N = brute_normalizer(Gamma, H)
+        return (N.order() == H.order() * G.order()
+                and isomorphic(quotient(N, H)[0], G) is not None)
+
+    every = [H for H in subgroups(Gamma) if is_hit(H)]
+    seen = []
+    monkeypatch.setattr(realization, "brute_normalizer",
+                        lambda *args: seen.append(args[1]) or brute_normalizer(*args))
+    assert [h.subgroup for h in brute_search(Gamma, G)] == every
+    assert len(seen) == calls
+
+
 # ---------------------------------------------------------------------------
 # split_check
 
@@ -775,6 +792,17 @@ def test_embedding_into_finds_subgroup():
     assert emb.is_multiplicative()
     assert oracles.naive_is_homomorphism(
         {x: emb.apply_raw(x) for x in emb.source.raw_elements()})
+
+
+def test_embedding_into_tests_the_first_member_of_each_class(monkeypatch):
+    # S4's subgroups of order 4, in list order: three V4 in one class, the
+    # normal V4, then three C4 in one class.
+    seen = []
+    monkeypatch.setattr(realization, "isomorphic",
+                        lambda *args: seen.append(args[1].gen_strings()) or isomorphic(*args))
+    emb = embedding_into(cyclic(4), symmetric(4))
+    assert seen == [["(3 4)", "(1 2)"], ["(1 2)(3 4)", "(1 3)(2 4)"], ["(1 3 2 4)"]]
+    assert [str(p) for p in emb.gen_images] == ["(1 3 2 4)"]
 
 
 def test_embedding_into_no_candidate():

@@ -84,6 +84,14 @@ def Q8():
     return generate(["(1 2 3 4)(5 6 7 8)", "(1 5 3 7)(2 8 4 6)"], 8)
 
 
+def S5():
+    return parse_group_spec("S5")
+
+
+def SL25():
+    return parse_group_spec("SL25")
+
+
 class TestConjugacyClasses:
     def test_s4_class_sizes(self):
         sizes = sorted(c.size for c in conjugacy_classes(S4()))
@@ -836,9 +844,10 @@ class TestSubgroups:
             subgroups(G, caps=Caps(subgroup_limit=29))
         assert str(exc.value) == f"subgroup count 30 exceeds subgroup limit 29; {self.LIMIT_HINT}"
 
-    # sha256 of the generator lists of subgroups(), recorded before joins
-    # were shared across conjugacy classes.
-    PINNED_GENERATORS_SHA256 = "feb0ae9894976ee87b51b3ac1cb5e73cc48a369156838f3737ea03b6b5d447e7"
+    # sha256 of the generator lists of subgroups(): a class representative
+    # has its parent representative's generators followed by one atom, and
+    # every other member of a non-cyclic class the conjugates of those.
+    PINNED_GENERATORS_SHA256 = "4f44454caf0243f6c5f641a15df03f07f591059b895d3ea4abcf98de6385c704"
 
     def test_pinned_generator_lists(self):
         got = {spec: [S.gen_strings() for S in subgroups(parse_group_spec(spec))]
@@ -873,7 +882,7 @@ class TestSubgroups:
         assert ({frozenset(c) for c in classes.values()}
                 == oracles.naive_subgroup_classes(G.element_set(), G.degree))
 
-    @pytest.mark.parametrize("make", [D8, Q8, A4, S4])
+    @pytest.mark.parametrize("make", [D8, Q8, A4, S4, A5, SL25])
     def test_classes_match_naive_oracle(self, make):
         self.assert_classes_match_oracle(make())
 
@@ -883,6 +892,43 @@ class TestSubgroups:
     @settings(max_examples=25, deadline=None)
     def test_classes_match_naive_oracle_on_generated_groups(self, gens):
         self.assert_classes_match_oracle(generate(gens, len(gens[0])))
+
+    # sha256 of the element sets and the class lists of subgroups(): what
+    # the choice of generators must never move.
+    PINNED_ELEMENTS_SHA256 = "0113427a8cb5bd5db21b2677736dc368fc68883b4d18fc6219721407fe7e6d3a"
+
+    def test_pinned_element_sets_and_classes(self):
+        got = {}
+        for spec in ("S4", "A5", "S5", "SL25", "A6"):
+            G = parse_group_spec(spec)
+            got[spec] = [[S.raw_elements() for S in subgroups(G)], subgroup_classes(G)]
+        blob = json.dumps(got, sort_keys=True, separators=(",", ":")).encode()
+        assert hashlib.sha256(blob).hexdigest() == self.PINNED_ELEMENTS_SHA256
+
+    @staticmethod
+    def assert_class_generators_conjugate(G):
+        """One element of G conjugates the generators of the first member of
+        a class of non-cyclic subgroups, in order, onto each member's."""
+        subs, first = subgroups(G), subgroup_classes(G)
+        elems = G.raw_elements()
+        for S, f in zip(subs, first):
+            if is_cyclic(S):
+                continue
+            r, s = subs[f].raw_gens(), S.raw_gens()
+            assert len(r) == len(s) and any(
+                all(perm._conjugate(g, t) == u for t, u in zip(r, s)) for g in elems), \
+                (subs[f].gen_strings(), S.gen_strings())
+
+    @pytest.mark.parametrize("make", [A5, S5, SL25])
+    def test_class_members_have_conjugate_generators(self, make):
+        self.assert_class_generators_conjugate(make())
+
+    @given(st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.lists(st.permutations(list(range(n))).map(tuple),
+                           min_size=1, max_size=3)))
+    @settings(max_examples=25, deadline=None)
+    def test_class_members_have_conjugate_generators_on_generated_groups(self, gens):
+        self.assert_class_generators_conjugate(generate(gens, len(gens[0])))
 
     @staticmethod
     def assert_matches_oracle(G):
@@ -908,11 +954,11 @@ class TestSubgroups:
             [], ["(3 4)"], ["(2 3)"], ["(2 4)"], ["(1 2)"], ["(1 2)(3 4)"],
             ["(1 3)"], ["(1 3)(2 4)"], ["(1 4)"], ["(1 4)(2 3)"], ["(2 3 4)"],
             ["(1 2 3)"], ["(1 2 4)"], ["(1 3 4)"], ["(3 4)", "(1 2)"],
-            ["(2 3)", "(1 4)"], ["(2 4)", "(1 3)"], ["(1 2)(3 4)", "(1 3)(2 4)"],
+            ["(1 4)", "(2 3)"], ["(2 4)", "(1 3)"], ["(1 2)(3 4)", "(1 3)(2 4)"],
             ["(1 3 2 4)"], ["(1 2 3 4)"], ["(1 2 4 3)"], ["(3 4)", "(2 3)"],
-            ["(3 4)", "(1 3)"], ["(2 3)", "(1 2)"], ["(2 4)", "(1 2)"],
-            ["(3 4)", "(1 3)(2 4)"], ["(2 3)", "(1 2)(3 4)"],
-            ["(2 4)", "(1 2)(3 4)"], ["(2 3 4)", "(1 2)(3 4)"],
+            ["(3 4)", "(1 3)"], ["(1 2)", "(1 3)"], ["(1 4)", "(2 4)"],
+            ["(3 4)", "(1 3)(2 4)"], ["(1 4)", "(1 3)(2 4)"],
+            ["(2 4)", "(1 4)(2 3)"], ["(2 3 4)", "(1 2)(3 4)"],
             ["(3 4)", "(1 2 3)"]]
 
     def test_pinned_sl23_orders_and_generators(self):
