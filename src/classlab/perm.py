@@ -1,16 +1,20 @@
 """Permutation arithmetic and permutation-group construction.
 
 Permutations are bijections of {0, ..., degree-1} stored as image tuples.
-Groups carry a stabilizer chain (base and strong generating set) used for
-order and membership.  Results computed from a group's elements, its sorted
-element list among them, are cached on the group by `PermGroup.cached`, which
-refuses a group over the enumeration cap on every call.
+Every product is taken here, in C: `_right(b)` is the map a ↦ a∘b and
+`_conjugator(g)` the map x ↦ g∘x∘g⁻¹, and a loop with a fixed factor builds
+its map once.  Groups carry a stabilizer chain (base and strong generating
+set) used for order and membership.  Results computed from a group's
+elements, its sorted element list among them, are cached on the group by
+`PermGroup.cached`, which refuses a group over the enumeration cap on every
+call.
 """
 from __future__ import annotations
 
 import math
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .config import DEFAULT_CAPS, Caps, cap_message
@@ -20,9 +24,15 @@ RawPerm = tuple[int, ...]
 T = TypeVar("T")
 
 
+def _right(b: RawPerm) -> Callable[[RawPerm], RawPerm]:
+    """The map a ↦ a∘b (apply b first), an `itemgetter` on b's images; at
+    degree ≤ 1, where `itemgetter` returns a scalar or raises, the identity."""
+    return itemgetter(*b) if len(b) > 1 else tuple
+
+
 def _compose(a: RawPerm, b: RawPerm) -> RawPerm:
     """Image tuple of a∘b: apply b first, then a."""
-    return tuple(map(a.__getitem__, b))
+    return _right(b)(a)
 
 
 def _inverse(a: RawPerm) -> RawPerm:
@@ -32,12 +42,10 @@ def _inverse(a: RawPerm) -> RawPerm:
     return tuple(inv)
 
 
-def _conjugate(g: RawPerm, x: RawPerm) -> RawPerm:
-    """g ∘ x ∘ g⁻¹ without forming the inverse."""
-    out = [0] * len(g)
-    for p, xp in enumerate(x):
-        out[g[p]] = g[xp]
-    return tuple(out)
+def _conjugator(g: RawPerm) -> Callable[[RawPerm], RawPerm]:
+    """The map x ↦ g∘x∘g⁻¹, with g⁻¹ formed once."""
+    undo = _right(_inverse(g))
+    return lambda x: undo(_right(x)(g))
 
 
 def _identity(degree: int) -> RawPerm:
@@ -311,8 +319,8 @@ class StabChain:
         """All elements, deterministically, as products of transversal members."""
         elements = [self._ident]
         for lv in self.levels:
-            transversal = [_inverse(lv.inverses[x]) for x in sorted(lv.inverses)]
-            elements = [_compose(acc, u) for acc in elements for u in transversal]
+            times = [_right(_inverse(lv.inverses[x])) for x in sorted(lv.inverses)]
+            elements = [times_u(acc) for acc in elements for times_u in times]
         yield from elements
 
     def copy(self) -> "StabChain":
@@ -356,7 +364,7 @@ class StabChain:
         """Rebuild level i's orbit and inverse transversal: u_y⁻¹ = u_x⁻¹ ∘ s⁻¹
         for y = s(x)."""
         lv = self.levels[i]
-        inv_gens = [_inverse(s) for s in lv.gens]
+        times_inv = [_right(_inverse(s)) for s in lv.gens]
         inverses = {lv.point: self._ident}
         queue = [lv.point]
         qi = 0
@@ -364,10 +372,10 @@ class StabChain:
             x = queue[qi]
             qi += 1
             ux_inv = inverses[x]
-            for s, s_inv in zip(lv.gens, inv_gens):
+            for s, times_s_inv in zip(lv.gens, times_inv):
                 y = s[x]
                 if y not in inverses:
-                    inverses[y] = _compose(ux_inv, s_inv)
+                    inverses[y] = times_s_inv(ux_inv)
                     queue.append(y)
         lv.inverses = inverses
         lv.checked = 0
@@ -383,8 +391,8 @@ class StabChain:
         for k in range(lv.checked, len(points) * len(gens)):
             t, s = points[k // len(gens)], gens[k % len(gens)]
             if k == lv.checked or k % len(gens) == 0:
-                ut = _inverse(lv.inverses[t])
-            sg = _compose(lv.inverses[s[t]], _compose(s, ut))
+                times_ut = _right(_inverse(lv.inverses[t]))
+            sg = _compose(lv.inverses[s[t]], times_ut(s))
             if sg == ident:
                 continue
             h, j = self.strip(sg, i + 1)
@@ -689,10 +697,10 @@ def induced_map(src_gens: list[RawPerm], img_gens: list[RawPerm],
     while qi < len(queue):
         x = queue[qi]
         qi += 1
-        fx = table[x]
+        times_x, times_fx = _right(x), _right(table[x])
         for g, fg in zip(src_gens, img_gens):
-            y = _compose(g, x)
-            fy = _compose(fg, fx)
+            y = times_x(g)
+            fy = times_fx(fg)
             prev = table.get(y)
             if prev is None:
                 if len(table) >= limit:
@@ -767,13 +775,13 @@ def _coset_index(G: PermGroup, S: PermGroup
     rep_inverses: list[RawPerm] = [ident]
     slot: dict[RawPerm, int] = {key_of(ident): 0}
     gens = G.raw_gens()
-    gen_inverses = [_inverse(g) for g in gens]
+    times_inv = [_right(_inverse(g)) for g in gens]
     qi = 0
     while qi < len(reps):
         r, r_inv = reps[qi], rep_inverses[qi]
         qi += 1
-        for g, g_inv in zip(gens, gen_inverses):
-            y = _compose(r_inv, g_inv)
+        for g, times_g_inv in zip(gens, times_inv):
+            y = times_g_inv(r_inv)
             key = key_of(y)
             if key not in slot:
                 slot[key] = len(reps)
@@ -800,8 +808,8 @@ def coset_action(G: PermGroup, S: PermGroup, kernel: PermGroup | None = None) ->
     reps, rep_inverses, index_of_inverse = _coset_index(G, S)
 
     def act(raw: RawPerm) -> RawPerm:
-        raw_inv = _inverse(raw)
-        return tuple(index_of_inverse(_compose(r_inv, raw_inv)) for r_inv in rep_inverses)
+        times_inv = _right(_inverse(raw))
+        return tuple(index_of_inverse(times_inv(r_inv)) for r_inv in rep_inverses)
 
     gen_images = [Permutation(act(g)) for g in G.raw_gens()]
     image = PermGroup(len(reps), gen_images)
@@ -814,9 +822,10 @@ def regular_representation(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> GroupHom:
     """The left-regular action of G on its own (sorted) element list."""
     elems = G.raw_elements(caps)
     index = {e: i for i, e in enumerate(elems)}
+    times = [_right(e) for e in elems]
 
     def act(raw: RawPerm) -> RawPerm:
-        return tuple(index[_compose(raw, e)] for e in elems)
+        return tuple(index[times_e(raw)] for times_e in times)
 
     gen_images = [Permutation(act(g)) for g in G.raw_gens()]
     image = PermGroup(len(elems), gen_images)

@@ -31,7 +31,7 @@ from .perm import (
     RawPerm,
     StabChain,
     _compose,
-    _conjugate,
+    _conjugator,
     _coset_index,
     _identity,
     _lift_blocks,
@@ -136,7 +136,7 @@ def brute_normalizer(parent: PermGroup, H: PermGroup,
     hgens = H.raw_gens()
     chain = H.chain().copy()
     grown = [r for r in reps
-             if all(H.contains_raw(_conjugate(r, h)) for h in hgens) and chain.extend(r)]
+             if all(map(H.contains_raw, map(_conjugator(r), hgens))) and chain.extend(r)]
     return PermGroup(parent.degree, hgens + grown, chain=chain)
 
 
@@ -293,8 +293,8 @@ def build_realization(G: PermGroup, G0: PermGroup, Gn: PermGroup,
     M = PermGroup(Gamma.degree, H.raw_gens() + lifts,
                   chain=StabChain.from_split(Gamma.degree, image.chain(),
                                              lambda raw: wp.top_lift(raw).images, H.chain()))
-    bad = next(((m, h) for m in lifts for h in H.raw_gens()
-                if not H.contains_raw(_conjugate(m, h))), None)
+    bad = next(((m, h) for m, conj in zip(lifts, map(_conjugator, lifts))
+                for h in H.raw_gens() if not H.contains_raw(conj(h))), None)
     if bad is not None:
         raise FalsificationAlarm(
             "structural normalizer does not normalize H",
@@ -495,7 +495,7 @@ def split_check(G: PermGroup, N: PermGroup,
 def conjugation_automorphism(G: PermGroup, s) -> GroupHom:
     """The automorphism x ↦ sxs⁻¹ of G, for s normalizing G (s need not lie in G)."""
     raw = G._coerce(s).images
-    hom = GroupHom(G, G, map_fn=lambda x: _conjugate(raw, x))
+    hom = GroupHom(G, G, map_fn=_conjugator(raw))
     if not all(G.contains_raw(img.images) for img in hom.gen_images):
         raise InvalidInput("conjugating element does not normalize the group")
     return hom
@@ -563,7 +563,7 @@ def block_swap_automorphism(G0: PermGroup, n: int, i: int, j: int) -> GroupHom:
     sigma = list(range(n))
     sigma[i], sigma[j] = j, i
     swap_raw = _lift_blocks(tuple(sigma), G0.degree)
-    return GroupHom(D, D, map_fn=lambda x: _conjugate(swap_raw, x))
+    return GroupHom(D, D, map_fn=_conjugator(swap_raw))
 
 
 def coordinatewise_automorphism(G0: PermGroup, n: int,

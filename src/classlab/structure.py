@@ -31,10 +31,11 @@ from .perm import (
     RawPerm,
     StabChain,
     _compose,
-    _conjugate,
+    _conjugator,
     _identity,
     _inverse,
     _order,
+    _right,
     coset_action,
     group_from_elements,
     identity_hom,
@@ -86,7 +87,8 @@ def conjugacy_classes(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> list[ConjClass
 
 
 def _conjugacy_classes(G: PermGroup, caps: Caps) -> list[ConjClass]:
-    gens = G.raw_gens()
+    # g∘x∘g⁻¹ is (g∘x)∘g⁻¹: one map ∘g⁻¹ per generator, one ∘x per element.
+    gens = [(g, _right(_inverse(g))) for g in G.raw_gens()]
     seen: set[RawPerm] = set()
     classes: list[ConjClass] = []
     for start in G.raw_elements(caps):
@@ -97,8 +99,9 @@ def _conjugacy_classes(G: PermGroup, caps: Caps) -> list[ConjClass]:
         while frontier:
             nxt = []
             for x in frontier:
-                for g in gens:
-                    y = _conjugate(g, x)
+                times_x = _right(x)
+                for g, times_g_inv in gens:
+                    y = times_g_inv(times_x(g))
                     if y not in members:
                         members.add(y)
                         nxt.append(y)
@@ -125,12 +128,12 @@ def normal_closure(G: PermGroup, seeds: Iterable) -> PermGroup:
         if chain.extend(s):
             gens.append(s)
             frontier.append(s)
-    outer = G.raw_gens()
+    outer = [_conjugator(g) for g in G.raw_gens()]
     while frontier and chain.order() < target:
         nxt = []
         for x in frontier:
-            for g in outer:
-                c = _conjugate(g, x)
+            for conj in outer:
+                c = conj(x)
                 if chain.extend(c):
                     gens.append(c)
                     nxt.append(c)
@@ -143,7 +146,8 @@ def normal_in(parent: PermGroup, N: PermGroup) -> bool:
         return False
     # A parent generator inside N conjugates N into itself.
     outer = [g for g in parent.raw_gens() if not N.contains_raw(g)]
-    return all(N.contains_raw(_conjugate(g, x)) for g in outer for x in N.raw_gens())
+    return all(N.contains_raw(conj(x)) for conj in map(_conjugator, outer)
+               for x in N.raw_gens())
 
 
 def _commutator(a: RawPerm, b: RawPerm) -> RawPerm:
@@ -326,9 +330,9 @@ def _normal_lattice(G: PermGroup, caps: Caps) -> NormalLattice:
     atoms: list[tuple[PermGroup, int]] = []
     for k in range(1, len(classes)):
         x, o = reps[k], classes[k].order
-        known, p = 1 << k | 1, x
+        known, p, times_x = 1 << k | 1, x, _right(x)
         for m in range(2, o):
-            p = _compose(p, x)
+            p = times_x(p)
             j = next((j for j in of_order[o // gcd(m, o)]
                       if j < k and p in classes[j].members), None)
             if j is not None:
@@ -551,8 +555,9 @@ def isomorphic(G: PermGroup, H: PermGroup,
 
     def extend(images: list[RawPerm], _, y: RawPerm) -> dict[RawPerm, RawPerm] | None:
         k = len(images)
+        times_y = _right(y)
         for prev, key in zip(images, needs[k]):
-            if h_key[_compose(prev, y)] != key:
+            if h_key[times_y(prev)] != key:
                 return None
         # Keys lie in ⟨x_0..x_k⟩, so the limit is never reached.
         table = induced_map(seq[:k + 1], images + [y], G.degree, H.degree,
@@ -684,14 +689,14 @@ def _enumerate_subgroups(G: PermGroup, elems: tuple[RawPerm, ...],
     n = len(elems)
     index = {x: i for i, x in enumerate(elems)}
     bits = [1 << i for i in range(n)]
-    conj_maps = [[index[_conjugate(g, x)] for x in elems] for g in G.raw_gens()]
+    conj_maps = [[index[conj(x)] for x in elems] for conj in map(_conjugator, G.raw_gens())]
     rows: dict[int, list[int]] = {}
 
     def row(a: int) -> list[int]:
         r = rows.get(a)
         if r is None:
-            g = elems[a]
-            r = rows[a] = [index[_compose(x, g)] for x in elems]
+            times_a = _right(elems[a])
+            r = rows[a] = [index[times_a(x)] for x in elems]
         return r
 
     # mask -> (generator indices, member indices); the identity is index 0
@@ -730,10 +735,10 @@ def _enumerate_subgroups(G: PermGroup, elems: tuple[RawPerm, ...],
     ident = elems[0]
     for i, x in enumerate(elems):
         members = [0]
-        y = x
+        y, times_x = x, _right(x)
         while y != ident:
             members.append(index[y])
-            y = _compose(y, x)
+            y = times_x(y)
         mask = sum(bits[j] for j in members)
         if mask not in found:
             atoms.append(i)

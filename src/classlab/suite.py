@@ -28,7 +28,7 @@ from .perm import (
     PermGroup,
     Permutation,
     _compose,
-    _conjugate,
+    _conjugator,
     coset_action,
     direct_power,
     generate,
@@ -229,7 +229,7 @@ def _chk_perm_coset_kernel_core(ctx: SuiteContext):
         s_elems = S.raw_elements(ctx.caps)
         core = set(s_elems)
         for g in G.raw_elements(ctx.caps):
-            core &= {_conjugate(g, s) for s in s_elems}
+            core &= set(map(_conjugator(g), s_elems))
         if kernel_set != core:
             bad.append({"case": label, "kernel_order": len(kernel_set),
                         "core_order": len(core)})

@@ -8,6 +8,8 @@ names it mentions.
 Only `perm.py` assigns a group's stabilizer chain: every other module hands
 a chain it built to `PermGroup(..., chain=...)`.  Only `perm.py` touches a
 group's `_cache`: every other module caches through `PermGroup.cached`.
+Only `perm.py` multiplies permutations by hand, with `itemgetter` or
+`map(p.__getitem__, …)`: every other module goes through its primitives.
 """
 import ast
 from pathlib import Path
@@ -102,3 +104,37 @@ def test_finds_cache_reads_and_writes(tmp_path):
     src.write_text("x = G._cache.get('k')\nG._cache = {}\nG.cache = 1\n"
                    "del H._cache['k']\nf(cache=G.cached)\n")
     assert cache_uses(src) == ["mod:1", "mod:2", "mod:4"]
+
+
+def product_kernels(path: Path) -> list[str]:
+    """Uses of `itemgetter` and calls `map(<x>.__getitem__, …)` in the module at path."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "operator":
+            hit = any(alias.name == "itemgetter" for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            hit = node.attr == "itemgetter"
+        elif isinstance(node, ast.Call):
+            hit = (isinstance(node.func, ast.Name) and node.func.id == "map" and node.args
+                   and isinstance(node.args[0], ast.Attribute)
+                   and node.args[0].attr == "__getitem__")
+        else:
+            hit = False
+        if hit:
+            found.add(node.lineno)
+    return [f"{path.stem}:{line}" for line in sorted(found)]
+
+
+def test_only_perm_multiplies_permutations():
+    found = [u for path in sorted(SRC.glob("*.py")) if path.name != "perm.py"
+             for u in product_kernels(path)]
+    assert found == []
+
+
+def test_finds_itemgetter_and_getitem_maps(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("from operator import itemgetter, eq\nimport operator\n"
+                   "f = operator.itemgetter(1, 0)\nt = tuple(map(a.__getitem__, b))\n"
+                   "u = map(len, b)\nv = a.__getitem__(0)\nw = list(map(x.get, b))\n")
+    assert product_kernels(src) == ["mod:1", "mod:3", "mod:4"]

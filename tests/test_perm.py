@@ -13,9 +13,10 @@ from classlab.perm import (
     Permutation,
     StabChain,
     _compose,
-    _conjugate,
+    _conjugator,
     _inverse,
     _place_blocks,
+    _right,
     block_product,
     coset_action,
     direct_power,
@@ -36,8 +37,8 @@ perm_of = st.integers(min_value=1, max_value=7).flatmap(
     lambda n: st.permutations(list(range(n))).map(tuple))
 
 
-def same_degree_pairs():
-    return st.integers(min_value=1, max_value=7).flatmap(
+def same_degree_pairs(max_degree: int = 7):
+    return st.integers(min_value=1, max_value=max_degree).flatmap(
         lambda n: st.tuples(st.permutations(list(range(n))).map(tuple),
                             st.permutations(list(range(n))).map(tuple)))
 
@@ -76,7 +77,7 @@ def generator_images(draw):
         images = [flip if g.parity() else ident for g in G.generators]
     elif kind == "inclusion" and degree <= target:
         pi = shuffled(target)
-        images = [_conjugate(pi, g.images + ident[degree:]) for g in G.generators]
+        images = [_conjugator(pi)(g.images + ident[degree:]) for g in G.generators]
     else:
         images = [ident for _ in G.generators]
     return G, target, images
@@ -147,7 +148,26 @@ class TestPermutationBasics:
     @given(same_degree_pairs())
     def test_conjugate_helper_formula(self, pair):
         g, x = pair
-        assert _conjugate(g, x) == _compose(g, _compose(x, _inverse(g)))
+        assert _conjugator(g)(x) == _compose(g, _compose(x, _inverse(g)))
+
+    @given(same_degree_pairs(max_degree=8))
+    def test_right_and_compose_match_oracle(self, pair):
+        a, b = pair
+        assert _right(b)(a) == _compose(a, b) == oracles.compose(a, b)
+
+    @given(same_degree_pairs(max_degree=8))
+    def test_conjugator_matches_oracle(self, pair):
+        g, x = pair
+        assert _conjugator(g)(x) == oracles.compose(g, oracles.compose(x, oracles.inverse(g)))
+
+    # Degrees 1 and 2: an `itemgetter` on one index returns a scalar, so the
+    # products must still come back as image tuples.
+    @pytest.mark.parametrize("a, b", [((0,), (0,)), ((0, 1), (0, 1)), ((0, 1), (1, 0)),
+                                      ((1, 0), (0, 1)), ((1, 0), (1, 0))])
+    def test_small_degree_products_are_image_tuples(self, a, b):
+        assert _right(b)(a) == _compose(a, b) == oracles.compose(a, b)
+        assert _conjugator(a)(b) == oracles.compose(a, oracles.compose(b, oracles.inverse(a)))
+        assert type(_compose(a, b)) is tuple and type(_conjugator(a)(b)) is tuple
 
     @given(same_degree_pairs())
     def test_parity_is_multiplicative(self, pair):
@@ -516,7 +536,7 @@ class TestHomomorphisms:
         t = Permutation.from_cycles("(1 2)", 4).images
 
         def fn(raw):
-            return _conjugate(t, raw)
+            return _conjugator(t)(raw)
 
         h = GroupHom(S4, S4, map_fn=fn)
         assert [p.images for p in h.gen_images] == [fn(g) for g in S4.raw_gens()]

@@ -120,6 +120,29 @@ class TestConjugacyClasses:
         c2 = [c.rep for c in conjugacy_classes(generate(["(1 2)", "(1 2 3 4)"], 4))]
         assert a == b == c2
 
+    @staticmethod
+    def assert_matches_naive_oracle(G):
+        """The members of each class, the class order (by least element, the
+        identity first), each rep (the least member) and each element order
+        agree with conjugation by every element of G."""
+        classes = conjugacy_classes(G)
+        assert [c.members for c in classes] == oracles.naive_classes(G.element_set())
+        assert classes[0].rep.is_identity()
+        for c in classes:
+            assert c.rep.images == min(c.members)
+            assert c.order == oracles.naive_element_order(c.rep.images)
+
+    @pytest.mark.parametrize("spec", ["S4", "A5", "SL23"])
+    def test_matches_naive_oracle(self, spec):
+        self.assert_matches_naive_oracle(parse_group_spec(spec))
+
+    @given(st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.lists(st.permutations(list(range(n))).map(tuple),
+                           min_size=1, max_size=3)))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_naive_oracle_on_generated_groups(self, gens):
+        self.assert_matches_naive_oracle(generate(gens, len(gens[0])))
+
 
 class TestCenterAndClosure:
     def test_centers(self):
@@ -916,7 +939,7 @@ class TestSubgroups:
                 continue
             r, s = subs[f].raw_gens(), S.raw_gens()
             assert len(r) == len(s) and any(
-                all(perm._conjugate(g, t) == u for t, u in zip(r, s)) for g in elems), \
+                all(conj(t) == u for t, u in zip(r, s)) for conj in map(perm._conjugator, elems)), \
                 (subs[f].gen_strings(), S.gen_strings())
 
     @pytest.mark.parametrize("make", [A5, S5, SL25])
