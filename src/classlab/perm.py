@@ -52,6 +52,10 @@ def _identity(degree: int) -> RawPerm:
     return tuple(range(degree))
 
 
+def _unchanged(raw: RawPerm) -> RawPerm:
+    return raw
+
+
 def _cycles(raw: RawPerm) -> list[tuple[int, ...]]:
     """Nontrivial cycles, each starting at its least point, sorted by that point."""
     seen = [False] * len(raw)
@@ -215,13 +219,11 @@ class StabChain:
     Each level's generators generate that level's whole stabilizer, because
     later extends run Schreier-Sims on them.
 
-    Two constructors build the chain of a group of known structure without
-    sifting a Schreier generator.  A group generated on disjoint blocks has as
-    its chain the block chains concatenated, each shifted onto its block
-    (`from_blocks`); a level of block b then also carries the generators of
-    every later block.  A split extension K ⋊ lift(T), with T acting on the
-    last points and K fixing them, has T's chain lifted onto those points
-    followed by K's chain (`from_split`).
+    One constructor, `from_layers`, builds the chain of a group of known
+    structure without sifting a Schreier generator: each layer's chain
+    lifted onto its points, followed by the later layers' chains.  A group
+    generated on disjoint blocks is one layer per block; a split extension
+    K ⋊ lift(T) is T's layer followed by K's.
     """
 
     def __init__(self, degree: int, gens: Iterable[RawPerm] = (), base_hint: Sequence[int] = ()):
@@ -232,57 +234,36 @@ class StabChain:
             self.extend(g)
 
     @classmethod
-    def from_blocks(cls, degree: int, pieces: Sequence[tuple[int, "StabChain"]]) -> "StabChain":
-        """The chain of the group generated by each block chain's group acting
-        on its block, for (block index, block chain) pairs; block i is the
-        points i·d … i·d+d−1, d the block chain's degree, and the base runs
-        through the pieces in order.
+    def from_layers(cls, degree: int,
+                    layers: Sequence[tuple[int, "StabChain", Callable[[RawPerm], RawPerm]]]
+                    ) -> "StabChain":
+        """The chain of the group generated by every layer's lift(T), for
+        layers (off, chain of T, lift); the base runs through the layers in
+        order.
 
-        No Schreier generator is sifted.  Every level is left unchecked, so a
-        later extend rescans it in full.
+        lift is an injective homomorphism T → Sym(degree) that acts as T on
+        the points off … off+T.degree−1; the later layers fix those points
+        pointwise and are normalized by lift(T).  The caller answers for
+        these hypotheses.  Each level of T moves to off + its point, with
+        lift(u) for each inverse transversal entry u, and carries its lifted
+        generators followed by the first-level generators of the later
+        layers, so it still generates its whole stabilizer.  No Schreier
+        generator is sifted.  Every level is left unchecked, so a later
+        extend rescans it in full.
         """
         chain = cls(degree)
         later: list[RawPerm] = []
-        for b, block in reversed(pieces):
-            off = b * block.degree
+        for off, T, lift in reversed(layers):
             levels = []
-            for lv in block.levels:
+            for lv in T.levels:
                 nlv = _Level(off + lv.point, chain._ident)
-                nlv.gens = [_place_blocks(degree, [(b, g)]) for g in lv.gens] + later
-                nlv.inverses = {off + x: _place_blocks(degree, [(b, u)])
-                                for x, u in lv.inverses.items()}
+                nlv.gens = [lift(g) for g in lv.gens] + later
+                nlv.inverses = {off + x: lift(u) for x, u in lv.inverses.items()}
                 nlv.checked = None
                 levels.append(nlv)
             if levels:
                 later = levels[0].gens
             chain.levels[:0] = levels
-        return chain
-
-    @classmethod
-    def from_split(cls, degree: int, top: "StabChain",
-                   lift: Callable[[RawPerm], RawPerm], kernel: "StabChain") -> "StabChain":
-        """The chain of K ⋊ lift(T), for T = ⟨top⟩ acting on the last top.degree
-        points, lift an injective homomorphism T → Sym(degree) that acts as T
-        on those points, and K = ⟨kernel⟩ fixing them pointwise.
-
-        T's levels come first, shifted onto those points: each inverse
-        transversal entry u becomes lift(u), and each level carries the lifted
-        level generators followed by K's, so it still generates its whole
-        stabilizer K ⋊ lift(T_i).  A copy of K's levels follows.  The caller
-        answers for the hypotheses.  No Schreier generator is sifted, and every
-        level is left unchecked, so a later extend rescans it in full.
-        """
-        chain = cls(degree)
-        off = degree - top.degree
-        kgens = kernel.levels[0].gens if kernel.levels else []
-        for lv in top.levels:
-            nlv = _Level(off + lv.point, chain._ident)
-            nlv.gens = [lift(g) for g in lv.gens] + kgens
-            nlv.inverses = {off + x: lift(u) for x, u in lv.inverses.items()}
-            chain.levels.append(nlv)
-        chain.levels += kernel.copy().levels
-        for lv in chain.levels:
-            lv.checked = None
         return chain
 
     # -- queries ---------------------------------------------------------
@@ -676,7 +657,7 @@ class GroupHom:
 
 
 def identity_hom(G: PermGroup) -> GroupHom:
-    return GroupHom(G, G, map_fn=lambda raw: raw, kernel=trivial_group(G.degree))
+    return GroupHom(G, G, map_fn=_unchanged, kernel=trivial_group(G.degree))
 
 
 def trivial_group(degree: int) -> PermGroup:
@@ -716,19 +697,26 @@ def induced_map(src_gens: list[RawPerm], img_gens: list[RawPerm],
 # Constructions
 
 
+def _on_block(degree: int, i: int) -> Callable[[RawPerm], RawPerm]:
+    """p ↦ the permutation of {0, …, degree−1} acting as p on block i."""
+    return lambda raw: _place_blocks(degree, [(i, raw)])
+
+
 def block_product(degree: int, pieces: Sequence[tuple[int, PermGroup]]) -> PermGroup:
     """The group generated by each piece's group acting on its block, for
     (block index, group) pairs; block i is the points i·d … i·d+d−1, d the
     group's degree.  Generators run through the pieces in order, and the
-    chain is built by construction (`StabChain.from_blocks`)."""
-    return PermGroup(degree, [_place_blocks(degree, [(i, g)])
-                              for i, P in pieces for g in P.raw_gens()],
-                     chain=StabChain.from_blocks(degree, [(i, P.chain()) for i, P in pieces]))
+    chain is built by construction, one layer per piece
+    (`StabChain.from_layers`)."""
+    layers = [(i * P.degree, P, _on_block(degree, i)) for i, P in pieces]
+    return PermGroup(degree, [lift(g) for _, P, lift in layers for g in P.raw_gens()],
+                     chain=StabChain.from_layers(
+                         degree, [(off, P.chain(), lift) for off, P, lift in layers]))
 
 
 def _block_embedding(G0: PermGroup, P: PermGroup, i: int) -> GroupHom:
     """G0 → P placing G0's points on block i of P's points."""
-    return GroupHom(G0, P, map_fn=lambda raw: _place_blocks(P.degree, [(i, raw)]))
+    return GroupHom(G0, P, map_fn=_on_block(P.degree, i))
 
 
 def direct_power(G0: PermGroup, n: int) -> PermGroup:
@@ -819,17 +807,14 @@ def coset_action(G: PermGroup, S: PermGroup, kernel: PermGroup | None = None) ->
 
 
 def regular_representation(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> GroupHom:
-    """The left-regular action of G on its own (sorted) element list."""
-    elems = G.raw_elements(caps)
-    index = {e: i for i, e in enumerate(elems)}
-    times = [_right(e) for e in elems]
-
-    def act(raw: RawPerm) -> RawPerm:
-        return tuple(index[times_e(raw)] for times_e in times)
-
-    gen_images = [Permutation(act(g)) for g in G.raw_gens()]
-    image = PermGroup(len(elems), gen_images)
-    return GroupHom(G, image, gen_images, map_fn=act, kernel=trivial_group(G.degree))
+    """The left-regular action of G: its action on the cosets of the trivial
+    subgroup, so point i is the i-th element found breadth-first by
+    `coset_action` (the identity first).  |G| must not exceed the
+    enumeration cap."""
+    if G.order() > caps.enum_cap:
+        raise CapExceeded(cap_message(caps, "enum_cap", "order", G.order()))
+    trivial = trivial_group(G.degree)
+    return coset_action(G, trivial, kernel=trivial)
 
 
 @dataclass
@@ -843,7 +828,6 @@ class WreathProduct:
     group: PermGroup
     g0: PermGroup
     gn: PermGroup
-    gsub: PermGroup
     n_coords: int
     base: PermGroup
     top: GroupHom
@@ -868,9 +852,10 @@ def wreath_by_cosets(G0: PermGroup, Gn: PermGroup, G_sub: PermGroup,
 
     Coordinate 0 corresponds to the coset of G_sub itself.  Γ is generated by
     the base generators followed by the top lifts, and its chain is built by
-    construction (`StabChain.from_split`): Gn's levels on the tail, then the
-    base's block chain.  That chain is valid when the base is normal in Γ and
-    the coset map is a homomorphism; `build_realization` certifies both.
+    construction (`StabChain.from_layers`): Gn's chain lifted onto the tail,
+    then the base's block chain.  That chain is valid when the base is normal
+    in Γ and the coset map is a homomorphism; `build_realization` certifies
+    both.
     """
     if not G_sub.is_subgroup_of(Gn):
         raise InvalidInput("G_sub must be a subgroup of Gn")
@@ -886,8 +871,8 @@ def wreath_by_cosets(G0: PermGroup, Gn: PermGroup, G_sub: PermGroup,
 
     base = block_product(degree, [(i, G0) for i in range(n)])
     group = PermGroup(degree, list(base.generators) + [lift(g) for g in Gn.raw_gens()],
-                      chain=StabChain.from_split(degree, Gn.chain(), lift, base.chain()))
+                      chain=StabChain.from_layers(degree, [(n * d0, Gn.chain(), lift),
+                                                           (0, base.chain(), _unchanged)]))
     top = GroupHom(group, Gn, map_fn=lambda raw: _restrict(raw, n * d0, dn), kernel=base)
-    W = WreathProduct(group=group, g0=G0, gn=Gn, gsub=G_sub, n_coords=n,
-                      base=base, top=top, coset_hom=cos)
-    return W
+    return WreathProduct(group=group, g0=G0, gn=Gn, n_coords=n,
+                         base=base, top=top, coset_hom=cos)

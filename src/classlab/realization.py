@@ -37,13 +37,13 @@ from .perm import (
     _lift_blocks,
     _place_blocks,
     _restrict,
+    _unchanged,
     block_product,
     coset_action,
     direct_power,
     identity_hom,
     point_stabilizer,
     regular_representation,
-    trivial_group,
     wreath_by_cosets,
 )
 from .structure import (
@@ -244,12 +244,12 @@ def build_realization(G: PermGroup, G0: PermGroup, Gn: PermGroup,
     shows that ψ is multiplicative, and each lift acts on Gn's points as the
     embedded generator.  So the restriction to those points composed with ψ
     is embed, which is injective; as H fixes Gn's points, ψ is injective and
-    L meets H trivially, so M/H ≅ L ≅ G.  The certificate's source Q is G
-    acting on its cosets of the trivial subgroup, which is M acting on the
-    cosets of H, read through ψ; its forward map sends Q's i-th generator to
-    G's i-th generator.  No search runs, so no iso cap applies; Q has |G|
-    points, so |G| must not exceed the enumeration cap, and Q's own chain is
-    not built.
+    L meets H trivially, so M/H ≅ L ≅ G.  The certificate's source Q is G's
+    regular representation, its action on the cosets of the trivial
+    subgroup, which is M acting on the cosets of H, read through ψ; its
+    forward map sends Q's i-th generator to G's i-th generator.  No search
+    runs, so no iso cap applies; Q has |G| points, so |G| must not exceed
+    the enumeration cap, and Q's own chain is not built.
     """
     checks: dict = {}
 
@@ -291,8 +291,9 @@ def build_realization(G: PermGroup, G0: PermGroup, Gn: PermGroup,
     embedded = [embed.apply(g) for g in G.generators]
     lifts = [wp.top_lift(t).images for t in embedded]
     M = PermGroup(Gamma.degree, H.raw_gens() + lifts,
-                  chain=StabChain.from_split(Gamma.degree, image.chain(),
-                                             lambda raw: wp.top_lift(raw).images, H.chain()))
+                  chain=StabChain.from_layers(Gamma.degree, [
+                      (N * G0.degree, image.chain(), lambda raw: wp.top_lift(raw).images),
+                      (0, H.chain(), _unchanged)]))
     bad = next(((m, h) for m, conj in zip(lifts, map(_conjugator, lifts))
                 for h in H.raw_gens() if not H.contains_raw(conj(h))), None)
     if bad is not None:
@@ -329,9 +330,7 @@ def build_realization(G: PermGroup, G0: PermGroup, Gn: PermGroup,
     _check_top_quotient(wp, checks)
 
     # Q is G's regular action, on |G| points.
-    if G.order() > caps.enum_cap:
-        raise CapExceeded(cap_message(caps, "enum_cap", "order", G.order()))
-    Q = coset_action(G, trivial_group(G.degree)).image()
+    Q = regular_representation(G, caps).image()
     iso = IsoCertificate(GroupHom(Q, G, G.generators))
     checks["iso_verified"] = "passed"
 
@@ -445,15 +444,14 @@ class BruteHit:
 
     subgroup: PermGroup
     normalizer: PermGroup
-    quotient: PermGroup
-    iso: IsoCertificate
 
 
 def brute_search(Gamma: PermGroup, G: PermGroup,
                  caps: Caps = DEFAULT_CAPS) -> list[BruteHit]:
     """All subgroups H ≤ Γ with N_Γ(H)/H ≅ G, normalizers by `brute_normalizer`.
-    N_Γ(H)/H is a class invariant, so the other members of a conjugacy class
-    are tested only when its first member is a hit."""
+    N_Γ(H)/H is a class invariant, so it is decided once per conjugacy class,
+    at the class's first member; every member of a hit class is a hit, and
+    the others get only their own normalizer."""
     hits = []
     hit_classes = set()
     subs = subgroups(Gamma, caps=caps)
@@ -462,13 +460,12 @@ def brute_search(Gamma: PermGroup, G: PermGroup,
             continue
         H = subs[pos]
         N = brute_normalizer(Gamma, H, caps)
-        if N.order() != H.order() * G.order():
-            continue
-        Q, _ = quotient(N, H)
-        iso = isomorphic(Q, G, caps)
-        if iso is not None:
-            hits.append(BruteHit(subgroup=H, normalizer=N, quotient=Q, iso=iso))
-            hit_classes.add(first)
+        if first == pos:
+            if (N.order() != H.order() * G.order()
+                    or isomorphic(quotient(N, H)[0], G, caps) is None):
+                continue
+            hit_classes.add(pos)
+        hits.append(BruteHit(subgroup=H, normalizer=N))
     return hits
 
 

@@ -585,9 +585,9 @@ class IsoTypes:
       takes that id with no work;
     - a representative equal to G as a subgroup of Sym(n) is isomorphic to
       it through the identity map, so no search runs;
-    - a representative with G's fingerprint is confirmed by a certified
-      `isomorphic` before the id is shared, so a fingerprint collision never
-      joins two types.
+    - otherwise a certified `isomorphic` decides, which rejects a
+      representative with another fingerprint before any search, and a
+      fingerprint collision never joins two types.
 
     A group whose order no representative has is a new type with no
     fingerprint, so the iso cap binds only when two groups of one order must
@@ -622,8 +622,7 @@ class IsoTypes:
                 return gid
         for gid in same_order:
             R = self.reps[gid]
-            if (fingerprint(R, self.caps) == fingerprint(G, self.caps)
-                    and isomorphic(R, G, self.caps) is not None):
+            if isomorphic(R, G, self.caps) is not None:
                 return gid
         same_order.append(len(self.reps))
         self.reps.append(G)

@@ -722,12 +722,16 @@ def test_the_evaluator_keeps_verdicts_and_the_structure_layer_keeps_groups():
 
 @pytest.fixture()
 def work(monkeypatch):
-    """The arguments of every isomorphism search, fingerprint and lattice
-    the evaluator asks for, where the registry and the evaluator look them
-    up: the lattice in both modules, the other two in `structure`."""
-    calls = {"isomorphic": [], "fingerprint": [], "normal_subgroups": []}
+    """The arguments of every isomorphism test, fingerprint and lattice the
+    evaluator asks for, where the registry and the evaluator look them up:
+    the lattice in both modules, the other two in `structure`; and of every
+    backtracking search that `isomorphic` starts past the fingerprint
+    test (`_generating_sequence`)."""
+    calls = {"isomorphic": [], "fingerprint": [], "normal_subgroups": [],
+             "_generating_sequence": []}
     for module, name in ((structure, "isomorphic"), (structure, "fingerprint"),
-                         (structure, "normal_subgroups"), (classes, "normal_subgroups")):
+                         (structure, "normal_subgroups"), (classes, "normal_subgroups"),
+                         (structure, "_generating_sequence")):
         def counted(*args, _real=getattr(module, name), _log=calls[name]):
             _log.append(args)
             return _real(*args)
@@ -740,12 +744,14 @@ def test_equal_subgroups_join_their_type_without_a_search(work):
     ev = ClassEval()
     fnr = parse_class_expr("dual(solvable)")
     # SL(2,5) is a second type of order 120, so the first S5 is told from it
-    # by fingerprint.
-    assert ev.member(fnr, special_linear(5))
+    # by fingerprint: one `isomorphic` test, refused before any search.
+    sl25 = special_linear(5)
+    assert ev.member(fnr, sl25)
     first = parse_group_spec("S5")
     assert not ev.member(fnr, first)
     assert any(args[0] is first for args in work["fingerprint"])
-    assert work["isomorphic"] == []
+    assert [args[:2] for args in work["isomorphic"]] == [(sl25, first)]
+    assert work["_generating_sequence"] == []
     for log in work.values():
         log.clear()
     # a fresh parse has the same generators; S5 on other generators is the

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from classlab.errors import DegreeMismatch, InvalidInput, ParseError
+from classlab.config import Caps, cap_message
+from classlab.errors import CapExceeded, DegreeMismatch, InvalidInput, ParseError
 from classlab.perm import (
     GroupHom,
     Permutation,
@@ -323,8 +324,9 @@ def wreath_case(draw):
 
 
 class TestBlockChains:
-    """Chains built by StabChain.from_blocks and StabChain.from_split against
-    Schreier-Sims from nothing."""
+    """Chains built by StabChain.from_layers, for block products (one layer
+    per block) and split extensions (the lifted top, then the kernel),
+    against Schreier-Sims from nothing."""
 
     ENUM_LIMIT = 20_000
 
@@ -422,7 +424,7 @@ class TestBlockChains:
                                        len(image.chain().levels),
                                        random.Random(target + top))
 
-    @pytest.mark.parametrize("build", ["schreier-sims", "from_blocks", "from_split"])
+    @pytest.mark.parametrize("build", ["schreier-sims", "from_layers-blocks", "from_layers-split"])
     def test_base_point_entry_is_identity(self, build):
         # strip and the coset keys skip the base point's entry as the identity.
         W = wreath_by_cosets(parse_group_spec("A5"), parse_group_spec("C4"),
@@ -430,10 +432,11 @@ class TestBlockChains:
         chains = {
             "schreier-sims": [parse_group_spec(s).chain() for s in ("S5", "SL25", "D14")]
                              + [StabChain(W.group.degree, W.group.raw_gens())],
-            "from_blocks": [direct_power(parse_group_spec("A5"), 3).chain(), W.base.chain()],
-            "from_split": [W.group.chain(),
-                           realize(parse_group_spec("C2"), top=parse_group_spec("S3"),
-                                   brute_check=False).normalizer.chain()],
+            "from_layers-blocks": [direct_power(parse_group_spec("A5"), 3).chain(),
+                                   W.base.chain()],
+            "from_layers-split": [W.group.chain(),
+                                  realize(parse_group_spec("C2"), top=parse_group_spec("S3"),
+                                          brute_check=False).normalizer.chain()],
         }[build]
         for chain in chains:
             assert chain.levels
@@ -454,7 +457,9 @@ class TestBlockChains:
     def test_membership_agrees_with_fresh_chain(self, case, data):
         degree, d, gens = case
         pieces = [(b, StabChain(d, block_gens)) for b, block_gens in enumerate(gens)]
-        chain = StabChain.from_blocks(degree, pieces)
+        chain = StabChain.from_layers(degree, [
+            (b * d, block, lambda raw, b=b: _place_blocks(degree, [(b, raw)]))
+            for b, block in pieces])
         placed = [_place_blocks(degree, [(b, g)]) for b, block_gens in enumerate(gens)
                   for g in block_gens]
         fresh = StabChain(degree, placed)
@@ -701,6 +706,22 @@ class TestRegularRepresentation:
         assert reg.kernel().order() == 1
         assert reg.is_multiplicative()
         assert oracles.naive_is_homomorphism({x: reg.apply_raw(x) for x in S3.raw_elements()})
+
+    @pytest.mark.parametrize("spec", ["C1", "S3", "Q8", "A5", "SL23"])
+    def test_is_the_coset_action_on_the_trivial_subgroup(self, spec):
+        G = parse_group_spec(spec)
+        reg = regular_representation(G)
+        coset = coset_action(G, trivial_group(G.degree))
+        assert reg.gen_images == coset.gen_images
+        assert reg.image().generators == coset.image().generators
+        assert reg.kernel().order() == 1
+
+    def test_enum_cap_message(self):
+        caps = Caps(enum_cap=59)
+        with pytest.raises(CapExceeded) as exc:
+            regular_representation(parse_group_spec("A5"), caps)
+        assert str(exc.value) == cap_message(caps, "enum_cap", "order", 60)
+        assert regular_representation(parse_group_spec("A5"), Caps(enum_cap=60)).target.degree == 60
 
 
 class TestWreathByCosets:

@@ -1,4 +1,5 @@
 """Tests for the normalizer-quotient realization machinery."""
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -613,6 +614,26 @@ def test_brute_search_tests_one_member_of_each_missed_class(spec, target, calls,
                         lambda *args: seen.append(args[1]) or brute_normalizer(*args))
     assert [h.subgroup for h in brute_search(Gamma, G)] == every
     assert len(seen) == calls
+
+
+@pytest.mark.parametrize("spec,target,iso_calls,normalizer_calls,hits",
+                         [("S4", "C1", 3, 16, 8), ("S4", "C2", 5, 23, 17),
+                          ("A6", "C1", 10, 266, 254)])
+def test_brute_search_decides_each_class_once(spec, target, iso_calls, normalizer_calls,
+                                              hits, monkeypatch):
+    # N(H)/H ≅ G is decided at the first member of each class only; every
+    # member of a hit class still gets its own normalizer.
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(realization, name)
+        return lambda *args: calls.update([name]) or fn(*args)
+
+    for name in ("isomorphic", "brute_normalizer"):
+        monkeypatch.setattr(realization, name, counted(name))
+    found = brute_search(parse_group_spec(spec), parse_group_spec(target))
+    assert (calls["isomorphic"], calls["brute_normalizer"], len(found)) == (
+        iso_calls, normalizer_calls, hits)
 
 
 # ---------------------------------------------------------------------------
