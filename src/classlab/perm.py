@@ -570,15 +570,15 @@ class GroupHom:
     reads the graph subgroup Δ = ⟨(g, θ(g))⟩ on the source points followed by
     the target points, with a chain based first at the source's base: the
     generator images extend to a homomorphism exactly when |Δ| = |source|,
-    the kernel is the pointwise stabilizer of the target points, and θ(x) is
-    the target part of the residue of (x⁻¹, 1).  No element of the source is
-    listed, so the source need not be enumerable.
+    the kernel, computed on first use and never passed in, is the pointwise
+    stabilizer of the target points, and θ(x) is the target part of the
+    residue of (x⁻¹, 1).  No element of the source is listed, so the source
+    need not be enumerable.
     """
 
     def __init__(self, source: PermGroup, target: PermGroup,
                  gen_images: Sequence | None = None,
-                 map_fn: Callable[[RawPerm], RawPerm] | None = None,
-                 kernel: PermGroup | None = None):
+                 map_fn: Callable[[RawPerm], RawPerm] | None = None):
         if gen_images is None:
             if map_fn is None:
                 raise InvalidInput("a homomorphism needs generator images or a map")
@@ -592,7 +592,7 @@ class GroupHom:
         self.target = target
         self.gen_images: tuple[Permutation, ...] = images
         self._map_fn = map_fn
-        self._kernel = kernel
+        self._kernel: PermGroup | None = None
         self._image: PermGroup | None = None
         self._delta: StabChain | None = None
 
@@ -657,7 +657,7 @@ class GroupHom:
 
 
 def identity_hom(G: PermGroup) -> GroupHom:
-    return GroupHom(G, G, map_fn=_unchanged, kernel=trivial_group(G.degree))
+    return GroupHom(G, G, map_fn=_unchanged)
 
 
 def trivial_group(degree: int) -> PermGroup:
@@ -665,8 +665,7 @@ def trivial_group(degree: int) -> PermGroup:
 
 
 def induced_map(src_gens: list[RawPerm], img_gens: list[RawPerm],
-                src_degree: int, img_degree: int,
-                limit: int) -> dict[RawPerm, RawPerm] | None:
+                src_degree: int, img_degree: int) -> dict[RawPerm, RawPerm] | None:
     """The map ⟨src_gens⟩ → images extending gen ↦ image, or None if inconsistent.
 
     Walks the Cayley graph of the source; every edge is checked, so a returned
@@ -684,8 +683,6 @@ def induced_map(src_gens: list[RawPerm], img_gens: list[RawPerm],
             fy = times_fx(fg)
             prev = table.get(y)
             if prev is None:
-                if len(table) >= limit:
-                    raise CapExceeded(f"homomorphism table exceeds limit {limit}")
                 table[y] = fy
                 queue.append(y)
             elif prev != fy:
@@ -714,21 +711,14 @@ def block_product(degree: int, pieces: Sequence[tuple[int, PermGroup]]) -> PermG
                          degree, [(off, P.chain(), lift) for off, P, lift in layers]))
 
 
-def _block_embedding(G0: PermGroup, P: PermGroup, i: int) -> GroupHom:
-    """G0 → P placing G0's points on block i of P's points."""
-    return GroupHom(G0, P, map_fn=_on_block(P.degree, i))
-
-
 def direct_power(G0: PermGroup, n: int) -> PermGroup:
     """G0^n acting on n disjoint copies of G0's points, coordinate 0 first.
 
-    Coordinate embeddings are recorded on the result as `coordinate_embeddings`.
+    Coordinate i of x ∈ G0 is `_place_blocks(degree, [(i, x)])`.
     """
     if n < 1:
         raise InvalidInput("direct power requires n >= 1")
-    P = block_product(n * G0.degree, [(i, G0) for i in range(n)])
-    P.coordinate_embeddings = [_block_embedding(G0, P, i) for i in range(n)]
-    return P
+    return block_product(n * G0.degree, [(i, G0) for i in range(n)])
 
 
 def _coset_index(G: PermGroup, S: PermGroup
@@ -787,11 +777,12 @@ def _coset_index(G: PermGroup, S: PermGroup
     return reps, rep_inverses, index_of_inverse
 
 
-def coset_action(G: PermGroup, S: PermGroup, kernel: PermGroup | None = None) -> GroupHom:
+def coset_action(G: PermGroup, S: PermGroup) -> GroupHom:
     """The left-translation action of G on the left cosets of S.
 
-    Returns the homomorphism onto its image; coset representatives are
-    recorded on the homomorphism as `coset_reps` (identity coset first).
+    Returns the homomorphism onto its image, whose kernel is the core of S;
+    the coset representatives' image tuples are recorded on the homomorphism
+    as `coset_reps` (identity coset first).
     """
     reps, rep_inverses, index_of_inverse = _coset_index(G, S)
 
@@ -801,8 +792,8 @@ def coset_action(G: PermGroup, S: PermGroup, kernel: PermGroup | None = None) ->
 
     gen_images = [Permutation(act(g)) for g in G.raw_gens()]
     image = PermGroup(len(reps), gen_images)
-    hom = GroupHom(G, image, gen_images, map_fn=act, kernel=kernel)
-    hom.coset_reps = [Permutation(r) for r in reps]
+    hom = GroupHom(G, image, gen_images, map_fn=act)
+    hom.coset_reps = reps
     return hom
 
 
@@ -813,8 +804,7 @@ def regular_representation(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> GroupHom:
     enumeration cap."""
     if G.order() > caps.enum_cap:
         raise CapExceeded(cap_message(caps, "enum_cap", "order", G.order()))
-    trivial = trivial_group(G.degree)
-    return coset_action(G, trivial, kernel=trivial)
+    return coset_action(G, trivial_group(G.degree))
 
 
 @dataclass
@@ -836,7 +826,7 @@ class WreathProduct:
     def coordinate_embedding(self, i: int) -> GroupHom:
         if not 0 <= i < self.n_coords:
             raise InvalidInput(f"coordinate {i} outside 0..{self.n_coords - 1}")
-        return _block_embedding(self.g0, self.group, i)
+        return GroupHom(self.g0, self.group, map_fn=_on_block(self.group.degree, i))
 
     def top_lift(self, h) -> Permutation:
         """The canonical lift of h ∈ Gn: permute blocks, act naturally on the tail."""
@@ -873,6 +863,6 @@ def wreath_by_cosets(G0: PermGroup, Gn: PermGroup, G_sub: PermGroup,
     group = PermGroup(degree, list(base.generators) + [lift(g) for g in Gn.raw_gens()],
                       chain=StabChain.from_layers(degree, [(n * d0, Gn.chain(), lift),
                                                            (0, base.chain(), _unchanged)]))
-    top = GroupHom(group, Gn, map_fn=lambda raw: _restrict(raw, n * d0, dn), kernel=base)
+    top = GroupHom(group, Gn, map_fn=lambda raw: _restrict(raw, n * d0, dn))
     return WreathProduct(group=group, g0=G0, gn=Gn, n_coords=n,
                          base=base, top=top, coset_hom=cos)

@@ -30,10 +30,8 @@ from .perm import (
     Permutation,
     RawPerm,
     StabChain,
-    _compose,
     _conjugator,
     _coset_index,
-    _identity,
     _lift_blocks,
     _place_blocks,
     _restrict,
@@ -257,10 +255,11 @@ def build_realization(G: PermGroup, G0: PermGroup, Gn: PermGroup,
         raise InvalidInput("embedding source does not match the target group")
     if embed.target is not Gn and not embed.target.same_group(Gn):
         raise InvalidInput("embedding target does not match the top group")
-    if embed.kernel().order() != 1:
-        raise InvalidInput("embedding is not injective")
+    # A homomorphism whose image has |G| elements has a trivial kernel.
     if not embed.is_multiplicative():
         raise InvalidInput("embedding is not a homomorphism")
+    if embed.image().order() != G.order():
+        raise InvalidInput("embedding is not injective")
     checks["embedding_multiplicative"] = "passed"
 
     H0 = maximal_selfnormalizing(G0, caps)
@@ -532,15 +531,9 @@ def diagonal_subgroup(G0: PermGroup, n: int, phis: list) -> DiagonalSubgroup:
         raise InvalidInput("at least one twist entry must be present")
 
     ambient = direct_power(G0, n)
-    embeddings = ambient.coordinate_embeddings
-    gens = []
-    for g in G0.raw_gens():
-        word = _identity(ambient.degree)
-        for i in support:
-            piece = embeddings[i].apply_raw(homs[i].apply_raw(g))
-            word = _compose(word, piece)
-        gens.append(word)
-    S = PermGroup(ambient.degree, gens)
+    S = PermGroup(ambient.degree,
+                  [_place_blocks(ambient.degree, [(i, homs[i].apply_raw(g)) for i in support])
+                   for g in G0.raw_gens()])
     if S.order() != G0.order():
         raise FalsificationAlarm(
             "twisted diagonal has the wrong order",
@@ -609,11 +602,10 @@ def factor_permutation_check(G0: PermGroup, n: int, theta: GroupHom,
     d = G0.degree
     mapping: list[int] = []
     for i in range(n):
-        emb = D.coordinate_embeddings[i]
         blocks = set()
         image_gens = []
         for g in G0.raw_gens():
-            img = theta.apply_raw(emb.apply_raw(g))
+            img = theta.apply_raw(_place_blocks(D.degree, [(i, g)]))
             image_gens.append(img)
             blocks.update(p // d for p in range(D.degree) if img[p] != p)
         if len(blocks) != 1:

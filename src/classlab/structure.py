@@ -32,7 +32,6 @@ from .perm import (
     StabChain,
     _compose,
     _conjugator,
-    _identity,
     _inverse,
     _order,
     _right,
@@ -389,10 +388,7 @@ def quotient(G: PermGroup, N: PermGroup) -> tuple[PermGroup, GroupHom]:
         raise InvalidInput("quotient requires a normal subgroup")
     if N.order() == 1:
         return G, identity_hom(G)
-    if N.order() == G.order():
-        Q = trivial_group(1)
-        return Q, GroupHom(G, Q, map_fn=lambda raw: (0,), kernel=G)
-    hom = coset_action(G, N, kernel=N)
+    hom = coset_action(G, N)
     return hom.image(), hom
 
 
@@ -529,8 +525,7 @@ def isomorphic(G: PermGroup, H: PermGroup,
     if fingerprint(G, caps) != fingerprint(H, caps):
         return None
     if n == 1:
-        return IsoCertificate(GroupHom(G, H, map_fn=lambda raw: _identity(H.degree),
-                                       kernel=trivial_group(G.degree)))
+        return IsoCertificate(GroupHom(G, H, []))
 
     seq, partial_orders = _generating_sequence(G, caps)
 
@@ -559,9 +554,7 @@ def isomorphic(G: PermGroup, H: PermGroup,
         for prev, key in zip(images, needs[k]):
             if h_key[times_y(prev)] != key:
                 return None
-        # Keys lie in ⟨x_0..x_k⟩, so the limit is never reached.
-        table = induced_map(seq[:k + 1], images + [y], G.degree, H.degree,
-                            partial_orders[k] + 1)
+        table = induced_map(seq[:k + 1], images + [y], G.degree, H.degree)
         if table is None or len(set(table.values())) != partial_orders[k]:
             return None
         return table
@@ -570,8 +563,7 @@ def isomorphic(G: PermGroup, H: PermGroup,
     if leaf is None:
         return None
     table = leaf[1]
-    return IsoCertificate(GroupHom(G, H, [table[g] for g in G.raw_gens()],
-                                   kernel=trivial_group(G.degree)))
+    return IsoCertificate(GroupHom(G, H, [table[g] for g in G.raw_gens()]))
 
 
 class IsoTypes:
@@ -912,7 +904,7 @@ def complement_exists(G: PermGroup, N: PermGroup,
     # The fiber over a quotient element is rep·N for the matching coset
     # representative, so fibers come from one coset each instead of a
     # projection scan over all of G.
-    rep_for = {proj.apply_raw(r.images): r.images for r in proj.coset_reps}
+    rep_for = {proj.apply_raw(r): r for r in proj.coset_reps}
     n_elems = N.raw_elements(caps)
 
     fibers: list[list[RawPerm]] = []

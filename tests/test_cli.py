@@ -1,6 +1,9 @@
+import importlib.util
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -463,3 +466,36 @@ class TestImportTiming:
                                "--out", str(tmp_path / "u.txt"), "--json")
         assert code == 0
         assert json.loads(out)["timing"]["import_s"] >= 0
+
+
+def _load_workloads():
+    """perfbench/workloads.py, loaded by path: the benchmark is not a package."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _load_workloads()
+
+
+class TestCliGateReplay:
+    """Every command of the benchmark's cli workload, run in process with
+    `--json` in a fresh directory holding the workload's catalog file, gives
+    the answer recorded in `perfbench/expected/cli.json`: its exit code and
+    its `results` and `checks` blocks."""
+
+    EXPECTED = json.loads((WORKLOADS.EXPECTED / "cli.json").read_text())
+
+    @pytest.mark.parametrize("argv", WORKLOADS.CLI_COMMANDS, ids=" ".join)
+    def test_command_gives_recorded_answer(self, argv, capsys, tmp_path, monkeypatch):
+        for name in list(os.environ):
+            if name.startswith("CLASSLAB_"):
+                monkeypatch.delenv(name)
+        gate = WORKLOADS.Cli()
+        gate.setup(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        report = json.loads(out) if out.strip() else None
+        assert gate.answer(" ".join(argv), (code, report)) == self.EXPECTED[" ".join(argv)]

@@ -16,6 +16,7 @@ from classlab.perm import (
     StabChain,
     WreathProduct,
     _compose,
+    _place_blocks,
     coset_action,
     direct_power,
     generate,
@@ -359,8 +360,8 @@ def test_order_arithmetic_alarms_on_a_coset_map_that_is_not_a_homomorphism(monke
     # transposition.  The lifts still normalize the base.
     action = perm.coset_action
 
-    def corrupted(G, S, kernel=None):
-        hom = action(G, S, kernel)
+    def corrupted(G, S):
+        hom = action(G, S)
         swapped = hom.gen_images[::-1]
         table = dict(zip(G.raw_gens(), (p.images for p in swapped)))
         return GroupHom(G, hom.target, swapped,
@@ -418,8 +419,17 @@ def test_build_trivial_target():
 def test_build_rejects_non_injective_embedding():
     C4, C2 = cyclic(4), cyclic(2)
     collapse = GroupHom(C4, C2, [Permutation((1, 0))])
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidInput, match="not injective"):
         build_realization(C4, alternating(5), C2, collapse)
+
+
+def test_build_rejects_embedding_that_is_not_a_homomorphism():
+    # No homomorphism sends an element of order 3 to one of order 2.
+    C3, S3 = generate(["(1 2 3)"], 3), symmetric(3)
+    bad = GroupHom(C3, S3, ["(1 2)"])
+    assert not bad.is_multiplicative()
+    with pytest.raises(InvalidInput, match="embedding is not a homomorphism"):
+        build_realization(C3, alternating(5), S3, bad)
 
 
 def test_build_brute_cap_and_optout():
@@ -694,9 +704,9 @@ def test_plain_diagonal():
     diag = diagonal_subgroup(A5, 2, [ident, ident])
     assert diag.group.order() == 60
     assert diag.support == (0, 1)
-    emb = diag.ambient.coordinate_embeddings
+    degree = diag.ambient.degree
     for g in A5.raw_gens():
-        pair = _compose(emb[0].apply_raw(g), emb[1].apply_raw(g))
+        pair = _compose(_place_blocks(degree, [(0, g)]), _place_blocks(degree, [(1, g)]))
         assert diag.group.contains_raw(pair)
 
 
@@ -704,10 +714,10 @@ def test_single_factor_diagonal():
     A5 = alternating(5)
     diag = diagonal_subgroup(A5, 2, [list(A5.generators), None])
     assert diag.support == (0,)
-    emb = diag.ambient.coordinate_embeddings
+    degree = diag.ambient.degree
     for g in A5.raw_gens():
-        assert diag.group.contains_raw(emb[0].apply_raw(g))
-        assert not diag.group.contains_raw(emb[1].apply_raw(g))
+        assert diag.group.contains_raw(_place_blocks(degree, [(0, g)]))
+        assert not diag.group.contains_raw(_place_blocks(degree, [(1, g)]))
 
 
 def test_twisted_diagonal_differs_but_is_isomorphic():

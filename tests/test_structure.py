@@ -8,13 +8,22 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from classlab import perm, structure
 from classlab.config import DEFAULT_CAPS, Caps, cap_message
 from classlab.errors import CapExceeded, FalsificationAlarm, InvalidInput, SubgroupLimitExceeded
-from classlab.perm import GroupHom, Permutation, coset_action, generate, regular_representation
+from classlab.perm import (
+    GroupHom,
+    Permutation,
+    coset_action,
+    generate,
+    point_stabilizer,
+    regular_representation,
+    trivial_group,
+    wreath_by_cosets,
+)
 from classlab.realization import maximal_selfnormalizing
 from classlab.structure import (
     IsoCertificate,
@@ -499,6 +508,7 @@ class TestQuotient:
         G = C6()
         Q, proj = quotient(G, G)
         assert Q.order() == 1 and Q.degree == 1
+        assert Q.generators == () and Q.same_group(trivial_group(1))
         assert proj.kernel().same_group(G)
 
     def test_non_normal_rejected(self):
@@ -524,6 +534,79 @@ class TestQuotient:
         # G/1 is G itself, neither built nor stored
         assert first[0] is G and all(v is not G for v in G._cache.values())
         assert [N for _, N in calls] == members[1:]
+
+
+def naive_kernel(hom: GroupHom) -> frozenset:
+    """{x in the source : hom(x) = 1}, one evaluation per element."""
+    ident = tuple(range(hom.target.degree))
+    return frozenset(x for x in hom.source.raw_elements() if hom.apply_raw(x) == ident)
+
+
+@st.composite
+def group_and_subgroup(draw):
+    """(G, S): G of degree at most 5 on random generators, S ≤ G on random
+    elements of G."""
+    degree, gens = draw(generated_group())
+    G = generate(gens, degree)
+    return G, generate(draw(st.lists(st.sampled_from(G.raw_elements()), max_size=2)), degree)
+
+
+class TestComputedKernels:
+    """Every kernel is the pointwise stabilizer of the target points in the
+    graph chain, never a stored value, so it is checked against the naive
+    kernel {x : hom(x) = 1} read through each map's own evaluation."""
+
+    NAMED = ["S4", "A5", "SL23"]
+
+    @pytest.mark.parametrize("spec", NAMED)
+    def test_coset_action_kernels_of_named_groups(self, spec):
+        G = parse_group_spec(spec)
+        groups = subgroups(G)
+        for idx in sorted(set(subgroup_classes(G))):
+            hom = coset_action(G, groups[idx])
+            assert hom.kernel().element_set() == naive_kernel(hom)
+
+    @given(group_and_subgroup())
+    @settings(max_examples=40, deadline=None)
+    def test_coset_action_kernels_of_generated_groups(self, case):
+        G, S = case
+        hom = coset_action(G, S)
+        assert hom.kernel().element_set() == naive_kernel(hom)
+
+    @staticmethod
+    def _assert_quotient_kernels(G):
+        for N in normal_subgroups(G).members:
+            proj = quotient(G, N)[1]
+            assert proj.kernel().element_set() == naive_kernel(proj) == N.element_set()
+
+    @pytest.mark.parametrize("spec", NAMED)
+    def test_quotient_kernels_of_named_groups(self, spec):
+        self._assert_quotient_kernels(parse_group_spec(spec))
+
+    @given(generated_group())
+    @settings(max_examples=40, deadline=None)
+    def test_quotient_kernels_of_generated_groups(self, case):
+        degree, gens = case
+        self._assert_quotient_kernels(generate(gens, degree))
+
+    @staticmethod
+    def _assert_wreath_top_kernel(G0, Gn, G_sub):
+        W = wreath_by_cosets(G0, Gn, G_sub)
+        assert W.top.kernel().element_set() == naive_kernel(W.top) == W.base.element_set()
+
+    @pytest.mark.parametrize("spec", NAMED)
+    def test_wreath_top_kernels_of_named_groups(self, spec):
+        Gn = parse_group_spec(spec)
+        self._assert_wreath_top_kernel(generate(["(1 2)"], 2), Gn, point_stabilizer(Gn, 0))
+
+    @given(generated_group(), group_and_subgroup())
+    @settings(max_examples=40, deadline=None)
+    def test_wreath_top_kernels_of_generated_groups(self, base, top):
+        (degree, gens), (Gn, G_sub) = base, top
+        G0 = generate(gens, degree)
+        # Γ is enumerated for the naive kernel, so keep |Γ| = |G0|^N·|Gn| small.
+        assume(G0.order() ** (Gn.order() // G_sub.order()) * Gn.order() <= 3000)
+        self._assert_wreath_top_kernel(G0, Gn, G_sub)
 
 
 class TestIsomorphism:
