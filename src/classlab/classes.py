@@ -216,13 +216,13 @@ class ClassEval:
     """Membership evaluator: verdicts memoized per isomorphism type.
 
     Groups are canonicalized to iso-type ids by an `IsoTypes` registry, and
-    membership is evaluated on the registry's representative of the id (the
-    first group seen of that type; classes are isomorphism-closed), so the
-    lattice and quotients cached on it serve every copy.  `member_trace`,
-    `dual_witness` and `hat_series` still read witnesses and series off the
-    queried group itself.  The evaluator keeps only verdicts and the groups
-    of its `set(...)` specs; lattices and quotients stay cached on their
-    groups.
+    `member`, the memo's only writer, decides every verdict on the registry's
+    representative of the id (the first group seen of that type; classes are
+    isomorphism-closed).  `dual` and `hat` share one walk of the normal
+    lattice, `_first_step`, whose tests go back through `member`.  Traces read
+    the representative when the query has its degree and generator tuple, and
+    the queried group otherwise.  The evaluator keeps only verdicts and the
+    groups of its `set(...)` specs; lattices stay cached on their groups.
     """
 
     def __init__(self, caps: Caps = DEFAULT_CAPS):
@@ -267,39 +267,32 @@ class ClassEval:
                 return self.canon_id(G) == self.canon_id(alternating(m))
             m += 1
 
+    def _first_step(self, C: ClassExpr, G: PermGroup,
+                    below: ClassExpr | None = None) -> int | None:
+        """The lattice index of the first proper normal N of G with G/N in C
+        and, when `below` is given, N in `below`; else None."""
+        n = G.order()
+        for idx, N in enumerate(normal_subgroups(G, self.caps).members):
+            if (N.order() != n and self.member(C, lattice_quotient(G, idx, self.caps))
+                    and (below is None or self.member(below, N))):
+                return idx
+        return None
+
     def dual_witness(self, C: ClassExpr, G: PermGroup) -> PermGroup | None:
         """The least proper normal subgroup with quotient in C, else None.
 
         G is in the dual of C exactly when this returns None.
         """
-        n = G.order()
-        for idx, N in enumerate(normal_subgroups(G, self.caps).members):
-            if N.order() == n:
-                continue
-            if self.member(C, lattice_quotient(G, idx, self.caps)):
-                return N
-        return None
+        idx = self._first_step(C, G)
+        return None if idx is None else normal_subgroups(G, self.caps).members[idx]
 
-    def hat_series(self, C: ClassExpr, G: PermGroup,
-                   _above: int | None = None) -> list[PermGroup] | None:
+    def hat_series(self, C: ClassExpr, G: PermGroup) -> list[PermGroup] | None:
         """An ascending subnormal chain from 1 to G with every step-quotient in C."""
-        assert _above is None or G.order() < _above, "series recursion must descend"
         if G.order() == 1:
             return [G]
-        hat_key = (ClassExpr("hat", C).text(), self.canon_id(G))
-        if self._memo.get(hat_key) is False:
-            return None
-        for idx, N in enumerate(normal_subgroups(G, self.caps).members):
-            if N.order() == G.order():
-                continue
-            if not self.member(C, lattice_quotient(G, idx, self.caps)):
-                continue
-            below = self.hat_series(C, N, G.order())
-            if below is not None:
-                self._memo[hat_key] = True
-                return below + [G]
-        self._memo[hat_key] = False
-        return None
+        idx = self._first_step(C, G, ClassExpr("hat", C))
+        return None if idx is None else (
+            self.hat_series(C, normal_subgroups(G, self.caps).members[idx]) + [G])
 
     # -- bidual characterizations ---------------------------------------
 
@@ -333,23 +326,23 @@ class ClassEval:
     # -- tracing ---------------------------------------------------------
 
     def member_trace(self, C: ClassExpr, G: PermGroup) -> tuple[bool, dict]:
-        """Membership plus an explanation: the failing normal subgroup for a
-        dual, or the found series for an associated class."""
+        """Membership plus the failing normal subgroup of a dual or the series
+        of a hat, read off G's representative when it has G's generators."""
         value = self.member(C, G)
+        R = self.types.reps[self.canon_id(G)]
+        if R.degree == G.degree and R.raw_gens() == G.raw_gens():
+            G = R
         trace: dict = {}
         if C.op == "dual" and not value:
-            witness = self.dual_witness(C.args[0], G)
-            assert witness is not None
-            idx = normal_subgroups(G, self.caps).members.index(witness)
-            Q = lattice_quotient(G, idx, self.caps)
+            idx = self._first_step(C.args[0], G)
+            witness = normal_subgroups(G, self.caps).members[idx]
             trace = {
                 "witness_normal_order": witness.order(),
                 "witness_normal_gens": witness.gen_strings(),
-                "quotient_order": Q.order(),
+                "quotient_order": lattice_quotient(G, idx, self.caps).order(),
             }
         elif C.op == "hat" and value:
             series = self.hat_series(C.args[0], G)
-            assert series is not None
             trace = {"series_orders": [S.order() for S in series],
                      "series_gens": [S.gen_strings() for S in series]}
         return value, trace
@@ -380,8 +373,9 @@ _OPS = {
               lambda ev, G, a, b: ev.member(a, G) or ev.member(b, G)),
     "inter": ((parse_class_expr, parse_class_expr),
               lambda ev, G, a, b: ev.member(a, G) and ev.member(b, G)),
-    "dual": ((parse_class_expr,), lambda ev, G, a: ev.dual_witness(a, G) is None),
-    "hat": ((parse_class_expr,), lambda ev, G, a: ev.hat_series(a, G) is not None),
+    "dual": ((parse_class_expr,), lambda ev, G, a: ev._first_step(a, G) is None),
+    "hat": ((parse_class_expr,), lambda ev, G, a: G.order() == 1
+            or ev._first_step(a, G, ClassExpr("hat", a)) is not None),
     "dualn": ((parse_class_expr, _count), ClassEval._dual_iter),
 }
 

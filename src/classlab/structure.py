@@ -901,17 +901,16 @@ def complement_exists(G: PermGroup, N: PermGroup,
     q_order = Q.order()
     q_seq, _ = _generating_sequence(Q, caps)
 
-    # The fiber over a quotient element is rep·N for the matching coset
-    # representative, so fibers come from one coset each instead of a
-    # projection scan over all of G.
-    rep_for = {proj.apply_raw(r): r for r in proj.coset_reps}
+    # The fiber over a quotient element q is rep·N for the representative of
+    # the coset q sends N to (point 0), so fibers come from one coset each
+    # instead of a projection scan over all of G.
     n_elems = N.raw_elements(caps)
 
     fibers: list[list[RawPerm]] = []
     space = 1
     for q in q_seq:
         want = _order(q)
-        rep = rep_for[q]
+        rep = proj.coset_reps[q[0]]
         fiber = [x for x in (_compose(rep, s) for s in n_elems) if _order(x) == want]
         if not fiber:
             return None

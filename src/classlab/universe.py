@@ -279,7 +279,8 @@ def load_catalog(path: str, caps: Caps = DEFAULT_CAPS) -> Catalog:
     provenance = {"sym_degree": int(m.group(1)),
                   "extras": [e for e in m.group(2).split(",") if e]}
     entries = []
-    for ln in lines[2:]:
+    names: set[str] = set()
+    for lineno, ln in enumerate(lines[2:], 3):
         if not ln.strip():
             continue
         parts = ln.split(" ", 2)
@@ -290,6 +291,11 @@ def load_catalog(path: str, caps: Caps = DEFAULT_CAPS) -> Catalog:
             degree = int(degree_text)
         except ValueError as exc:
             raise ParseError(f"bad degree in catalog entry {ln!r}") from exc
+        if not 1 <= degree <= 128:
+            raise ParseError(f"catalog line {lineno}: degree {degree} outside 1..128")
+        if name in names:
+            raise ParseError(f"catalog line {lineno}: repeated name {name!r}")
+        names.add(name)
         gens = [] if gen_text == "-" else [g for g in gen_text.split(";") if g]
         G = generate(gens, degree, name=name)
         entries.append(CatalogEntry(name, G, fingerprint(G, caps)))

@@ -36,6 +36,8 @@ from classlab.universe import (
     symmetric,
 )
 
+import oracles
+
 
 @pytest.fixture(scope="module")
 def d4_catalog():
@@ -799,3 +801,90 @@ def test_conjugated_copy_is_searched_once_and_evaluated_on_the_representative(wo
     assert trace["series_gens"][-1] == copy.gen_strings()
     assert all(copy.contains(p) for gens in trace["series_gens"] for p in perms(gens))
     assert not all(rep.contains(p) for p in perms(trace["series_gens"][-1]))
+
+
+def test_hat_verdicts_look_only_at_representatives_lattices(work):
+    # The hat rule recurses through `member`, so the lattice of S4's member
+    # V4 is never built: V4's verdict was read off the representative.
+    ev = ClassEval()
+    hat_cyclic = parse_class_expr("hat(cyclic)")
+    assert ev.member(hat_cyclic, klein_four())
+    assert ev.member(hat_cyclic, symmetric(4))
+    assert work["normal_subgroups"]
+    assert all(any(args[0] is R for R in ev.types.reps) for args in work["normal_subgroups"])
+
+
+@pytest.mark.parametrize("spec", ["S4", "D12", "perm5[(1 2 3);(1 2)(4 5)]"])
+def test_a_reparsed_group_is_traced_on_its_representative(spec):
+    ev = ClassEval()
+    first = parse_group_spec(spec)
+    exprs = [parse_class_expr(t) for t in ("dual(abelian)", "hat(cyclic)", "dual(p(2))")]
+    traces = [ev.member_trace(C, first) for C in exprs]
+    assert traces[0][1] and traces[1][1]
+    again = parse_group_spec(spec)
+    assert [ev.member_trace(C, again) for C in exprs] == traces
+    assert "normal_lattice" not in again._cache
+
+
+# ---------------------------------------------------------------------------
+# dual and hat against their definitions, by brute force over element sets
+
+
+def _quotient_in(text: str, M: frozenset, N: frozenset) -> bool:
+    """Whether M/N lies in the class `text`, for N normal in M."""
+    index = len(M) // len(N)
+    if text == "cyclic":
+        return any(oracles.naive_closure([g], len(g), start=N) == M for g in M)
+    if text == "abelian":
+        return all(oracles.compose(oracles.compose(a, b), oracles.inverse(
+            oracles.compose(b, a))) in N for a in M for b in M)
+    if text == "p(2)":
+        return index & (index - 1) == 0
+    assert text == "set(C1,C2)"
+    return index <= 2
+
+
+def _brute_dual(text: str, G: frozenset, degree: int) -> bool:
+    return not any(_quotient_in(text, G, N)
+                   for N in oracles.naive_normal_subgroups(G, degree) if N != G)
+
+
+def _brute_hat(text: str, G: frozenset, degree: int, memo: dict) -> bool:
+    if G not in memo:
+        memo[G] = len(G) == 1 or any(
+            _quotient_in(text, G, N) and _brute_hat(text, N, degree, memo)
+            for N in oracles.naive_normal_subgroups(G, degree) if N != G)
+    return memo[G]
+
+
+@st.composite
+def small_group(draw):
+    """(degree, generators) of a group of degree at most 5."""
+    degree = draw(st.integers(min_value=1, max_value=5))
+    perm = st.permutations(list(range(degree))).map(tuple)
+    return degree, draw(st.lists(perm, min_size=1, max_size=3))
+
+
+@given(small_group())
+@settings(max_examples=30, deadline=None)
+def test_dual_and_hat_match_their_definitions(case):
+    degree, gens = case
+    G = generate(gens, degree)
+    elements = oracles.naive_closure(gens, degree)
+    ev = ClassEval()
+    for text in ("cyclic", "abelian", "p(2)", "set(C1,C2)"):
+        C = parse_class_expr(text)
+        assert ev.member(ClassExpr("dual", C), G) == _brute_dual(text, elements, degree)
+        in_hat = _brute_hat(text, elements, degree, {})
+        assert ev.member(ClassExpr("hat", C), G) == in_hat
+        series = ev.hat_series(C, G)
+        assert (series is not None) == in_hat
+        if series is None:
+            continue
+        sets = [S.element_set() for S in series]
+        assert len(sets[0]) == 1 and sets[-1] == elements
+        for N, M in zip(sets, sets[1:]):
+            assert N < M
+            assert all(oracles.compose(oracles.compose(g, x), oracles.inverse(g)) in N
+                       for g in M for x in N)
+            assert _quotient_in(text, M, N)

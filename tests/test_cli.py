@@ -11,6 +11,7 @@ from classlab import cli
 from classlab.classes import MAX_NESTING
 from classlab.cli import main
 from classlab.config import Caps, cap_message
+from classlab.universe import load_catalog, save_catalog
 
 
 def run_cli(capsys, *argv):
@@ -336,6 +337,17 @@ class TestSelftestCommand:
         code, _, err = run_cli(capsys, "selftest", "--universe", str(bad))
         assert code == 2
 
+    @pytest.mark.parametrize("entry", ["X -2 -", "Y 0 -", "X 200 (1 2)",
+                                       "C2 2 (1 2)\nC2 2 (1 2)"])
+    @pytest.mark.parametrize("command", [("selftest",), ("audit", "abelian")])
+    def test_catalog_entry_a_spec_would_refuse_exits_2(self, capsys, tmp_path,
+                                                       command, entry):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"classlab-universe v1\nspec sym_degree=3 extras=\n{entry}\n")
+        code, out, err = run_cli(capsys, *command, "--universe", str(bad))
+        assert code == 2 and out == ""
+        assert err.startswith("error: catalog line ")
+
 
 class TestCapsPlumbing:
     def test_enum_cap_flag_exits_3(self, capsys):
@@ -499,3 +511,9 @@ class TestCliGateReplay:
         code, out, _ = run_cli(capsys, *argv, "--json")
         report = json.loads(out) if out.strip() else None
         assert gate.answer(" ".join(argv), (code, report)) == self.EXPECTED[" ".join(argv)]
+
+    def test_catalog_file_round_trips_byte_identically(self, tmp_path):
+        WORKLOADS.Cli().setup(tmp_path)
+        written = tmp_path / WORKLOADS.CATALOG_FILE
+        save_catalog(load_catalog(str(written)), str(tmp_path / "again.txt"))
+        assert (tmp_path / "again.txt").read_bytes() == written.read_bytes()

@@ -10,6 +10,8 @@ a chain it built to `PermGroup(..., chain=...)`.  Only `perm.py` touches a
 group's `_cache`: every other module caches through `PermGroup.cached`.
 Only `perm.py` multiplies permutations by hand, with `itemgetter` or
 `map(p.__getitem__, …)`: every other module goes through its primitives.
+Only `ClassEval.member` writes an entry of the evaluator's memo: every other
+verdict, a `hat` verdict included, is recorded by going through it.
 """
 import ast
 from pathlib import Path
@@ -138,3 +140,55 @@ def test_finds_itemgetter_and_getitem_maps(tmp_path):
                    "f = operator.itemgetter(1, 0)\nt = tuple(map(a.__getitem__, b))\n"
                    "u = map(len, b)\nv = a.__getitem__(0)\nw = list(map(x.get, b))\n")
     assert product_kernels(src) == ["mod:1", "mod:3", "mod:4"]
+
+
+def memo_writes(path: Path) -> list[str]:
+    """Subscript assignments (plain, augmented, annotated, or `del`) to an
+    attribute named `_memo` in the module at path, each named by the
+    function or class around it and its line."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, (ast.Assign, ast.Delete)):
+                targets = child.targets
+            elif isinstance(child, (ast.AugAssign, ast.AnnAssign)):
+                targets = [child.target]
+            else:
+                targets = []
+            if any(isinstance(sub, ast.Subscript) and isinstance(sub.value, ast.Attribute)
+                   and sub.value.attr == "_memo" for t in targets for sub in ast.walk(t)):
+                found.append(f"{path.stem}:{'.'.join(scope) or '<module>'}:{child.lineno}")
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_only_member_writes_the_class_memo():
+    writers = {w.rsplit(":", 1)[0] for path in sorted(SRC.glob("*.py"))
+               for w in memo_writes(path)}
+    assert writers == {"classes:ClassEval.member"}
+
+
+def test_finds_memo_writes_by_scope(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "class E:\n"
+        "    def member(self, k):\n"
+        "        self._memo[k] = True\n"
+        "    def other(self, k):\n"
+        "        self._memo[k], n = False, 1\n"
+        "        x = self._memo.get(k)\n"
+        "        self._memo = {}\n"
+        "        del self._memo[k]\n"
+        "def f(ev, k):\n"
+        "    ev._memo[k] += 1\n"
+        "    ev.memo[k] = 1\n"
+        "ev._memo[0]: bool = True\n")
+    assert memo_writes(src) == ["mod:E.member:3", "mod:E.other:5", "mod:E.other:8",
+                                "mod:f:10", "mod:<module>:12"]

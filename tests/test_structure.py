@@ -590,8 +590,8 @@ class TestComputedKernels:
         self._assert_quotient_kernels(generate(gens, degree))
 
     @staticmethod
-    def _assert_wreath_top_kernel(G0, Gn, G_sub):
-        W = wreath_by_cosets(G0, Gn, G_sub)
+    def _assert_wreath_top_kernel(G0, Gn, G_sub, caps=DEFAULT_CAPS):
+        W = wreath_by_cosets(G0, Gn, G_sub, caps)
         assert W.top.kernel().element_set() == naive_kernel(W.top) == W.base.element_set()
 
     @pytest.mark.parametrize("spec", NAMED)
@@ -605,8 +605,11 @@ class TestComputedKernels:
         (degree, gens), (Gn, G_sub) = base, top
         G0 = generate(gens, degree)
         # Γ is enumerated for the naive kernel, so keep |Γ| = |G0|^N·|Gn| small.
-        assume(G0.order() ** (Gn.order() // G_sub.order()) * Gn.order() <= 3000)
-        self._assert_wreath_top_kernel(G0, Gn, G_sub)
+        # A trivial G0 still allows N up to |Gn| = 120 coordinates, past the
+        # default coordinate cap, so the cap is raised to N.
+        n = Gn.order() // G_sub.order()
+        assume(G0.order() ** n * Gn.order() <= 3000)
+        self._assert_wreath_top_kernel(G0, Gn, G_sub, DEFAULT_CAPS.with_updates(coord_cap=n))
 
 
 class TestIsomorphism:
@@ -1182,6 +1185,32 @@ class TestComplements:
     def test_q8_over_center_has_none(self):
         G = Q8()
         assert complement_exists(G, center(G)) is None
+
+    SPECS = ("S4", "D12", "SL23", "S5")
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_fiber_representative_is_the_coset_rep_of_the_image_of_point_0(self, spec):
+        # The search reads the representative of gN as coset_reps[act(g)[0]]:
+        # act(g) sends point 0, the coset N, to the index of gN.
+        G = parse_group_spec(spec)
+        for N in normal_subgroups(G).members:
+            hom = coset_action(G, N)
+            for g in G.raw_elements():
+                rep = hom.coset_reps[hom.apply_raw(g)[0]]
+                assert N.contains_raw(oracles.compose(oracles.inverse(rep), g))
+
+    def test_complements_over_every_lattice_member_are_pinned(self):
+        # The complement (its generators, or None) over each normal subgroup
+        # of the four groups, in lattice order, as the search found them when
+        # it still looked representatives up in a dict keyed by projection.
+        found = []
+        for spec in self.SPECS:
+            G = parse_group_spec(spec)
+            for i, N in enumerate(normal_subgroups(G).members):
+                K = complement_exists(G, N)
+                found.append([spec, i, None if K is None else K.gen_strings()])
+        assert hashlib.sha256(json.dumps(found).encode()).hexdigest() == (
+            "ecd64b05d73e97443753021b8a40d90865352e586f521ca258c8beb8712f25d4")
 
     def test_search_space_over_the_fixed_bound(self, monkeypatch):
         # The fiber over the quotient generator is the 6 transpositions.

@@ -212,3 +212,32 @@ class TestPersistence:
         path.write_text("classlab-universe v1\nspec sym_degree=3 extras=\nonlyname\n")
         with pytest.raises(ParseError):
             load_catalog(str(path))
+
+    # Entries that `parse_group_spec` would refuse, and a name given twice,
+    # which would make `Catalog.find` and audit witnesses ambiguous.
+    BAD_ENTRIES = [
+        ("X -2 -", "catalog line 3: degree -2 outside 1..128"),
+        ("Y 0 -", "catalog line 3: degree 0 outside 1..128"),
+        ("X 200 (1 2)", "catalog line 3: degree 200 outside 1..128"),
+        ("C2 2 (1 2)\n\nC2 2 (1 2)", "catalog line 5: repeated name 'C2'"),
+    ]
+
+    @pytest.mark.parametrize("entries,message", BAD_ENTRIES)
+    def test_entry_refused_with_its_line(self, tmp_path, entries, message):
+        path = tmp_path / "bad3.txt"
+        path.write_text(f"classlab-universe v1\nspec sym_degree=3 extras=\n{entries}\n")
+        with pytest.raises(ParseError) as info:
+            load_catalog(str(path))
+        assert str(info.value) == message
+
+    def test_edge_degrees_still_load(self, tmp_path):
+        path = tmp_path / "edge.txt"
+        path.write_text("classlab-universe v1\nspec sym_degree=3 extras=\n"
+                        "C1 1 -\nBIG 128 (127 128)\n")
+        assert [e.group.degree for e in load_catalog(str(path)).entries] == [1, 128]
+
+    def test_default_catalog_round_trips_byte_identically(self, universe_file, tmp_path):
+        again = tmp_path / "again.txt"
+        save_catalog(load_catalog(universe_file), str(again))
+        with open(universe_file, "rb") as fh:
+            assert again.read_bytes() == fh.read()
